@@ -30,16 +30,25 @@ use crate::WriteBatch;
 /// bytes continue a SplitMix-style stream, so any slice is checkable
 /// from `(key, len)` alone.
 pub fn value_bytes(key: u64, len: u32) -> Vec<u8> {
+    let mut v = Vec::with_capacity(len as usize);
+    fill_value_bytes(&mut v, key, len);
+    v
+}
+
+/// Overwrites `buf` with [`value_bytes`]`(key, len)`, reusing its
+/// capacity: a client thread fills one buffer per put instead of
+/// allocating a value.
+fn fill_value_bytes(buf: &mut Vec<u8>, key: u64, len: u32) {
     let len = len as usize;
-    let mut v = Vec::with_capacity(len);
+    buf.clear();
+    buf.reserve(len);
     let mut x = key;
-    while v.len() < len {
+    while buf.len() < len {
         let chunk = x.to_le_bytes();
-        let take = (len - v.len()).min(8);
-        v.extend_from_slice(&chunk[..take]);
+        let take = (len - buf.len()).min(8);
+        buf.extend_from_slice(&chunk[..take]);
         x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     }
-    v
 }
 
 /// A point operation going through the pipelined surface
@@ -464,7 +473,7 @@ pub fn run_load_observed<S: KvService, O: LoadObserver>(
         idle_ns += thread_idle;
     }
 
-    let store_stats = end_stats.since(&base);
+    let store_stats = end_stats.delta(&base);
     // The serving path's threads (e.g. the TCP server's per-connection
     // workers) burn power too; fold them into the modeled machine.
     let total_threads = threads * (1 + svc.extra_threads_per_client());
@@ -524,6 +533,9 @@ fn client_thread<C: KvConnection, O: LoadObserver>(
         Rng64::new(spec.seed ^ ((tid as u64).wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let hist = LatencyHistogram::new();
     let mut batch = WriteBatch::with_capacity(mix.batch.max(1));
+    // The blocking put's value; batched and pipelined puts hand theirs
+    // over, so they still allocate one each.
+    let mut value = Vec::new();
     // Scheduled origins of the ops issued but not yet answered: the
     // writes buffered in `batch`, or the pipelined submissions in
     // flight. Their latency is not known until the flush that answers
@@ -592,7 +604,8 @@ fn client_thread<C: KvConnection, O: LoadObserver>(
                 false
             }
             (KvOp::Put(k, len), false) => {
-                conn.put(k, &value_bytes(k, len));
+                fill_value_bytes(&mut value, k, len);
+                conn.put(k, &value);
                 false
             }
             (KvOp::Remove(k), false) => {
@@ -643,6 +656,32 @@ mod tests {
         // Single-CPU hosts pay a scheduler quantum per contended
         // handover; keep concurrency tiny there.
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
+    }
+
+    #[test]
+    fn value_bytes_are_the_key_then_its_stream_over_any_buffer() {
+        let cases: [(u64, &[u8]); 5] = [
+            (0, &[]),
+            (0xDEAD_BEEF, &[0xEF, 0xBE, 0xAD]),
+            (1, &[1, 0, 0, 0, 0, 0, 0, 0, 0x16, 0x7C, 0x4A, 0x7F]),
+            (u64::MAX, &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xEC]),
+            (
+                7,
+                &[
+                    7, 0, 0, 0, 0, 0, 0, 0, 0x94, 0x64, 0x09, 0x7B, 0x12, 0x54, 0x84, 0x53, 0x25,
+                    0xF0, 0x44, 0x23,
+                ],
+            ),
+        ];
+        let mut buf = Vec::new();
+        for (key, want) in cases {
+            let len = want.len() as u32;
+            assert_eq!(value_bytes(key, len), want, "key {key:#x}, len {len}");
+            buf.clear();
+            buf.resize(32, 0xA5);
+            fill_value_bytes(&mut buf, key, len);
+            assert_eq!(buf, want, "key {key:#x}, len {len}, over a dirty buffer");
+        }
     }
 
     #[test]

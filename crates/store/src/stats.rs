@@ -1,10 +1,12 @@
 //! Per-shard operation statistics: counters, lock timing, latency tails.
 //!
-//! Recording is lock-free (relaxed atomics touched by the operating thread
-//! only after its own critical section), so the stats path never perturbs
-//! the lock behavior under test. Readers take [`ShardStats::snapshot`]s —
-//! plain data that can be merged across shards and queried for
-//! percentiles.
+//! Recording is lock-free: relaxed atomics the operating thread touches
+//! after its own critical section, so the stats path stays out of the
+//! lock behavior under test. The one exception is the residency gauge,
+//! written inside the critical section (only when it moved) so it changes
+//! in the order the shard's ops ran. Readers take
+//! [`ShardStats::snapshot`]s — plain data that can be merged across shards
+//! and queried for percentiles.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -256,9 +258,12 @@ impl ShardStats {
     }
 
     /// Publishes the shard's current live value bytes (a gauge, not a
-    /// counter: the latest write wins).
+    /// counter: the latest write wins). An unchanged value writes
+    /// nothing, so an op that moved no bytes leaves the line shared.
     pub fn set_mem_bytes(&self, bytes: u64) {
-        self.mem_bytes.store(bytes, Ordering::Relaxed);
+        if self.mem_bytes.load(Ordering::Relaxed) != bytes {
+            self.mem_bytes.store(bytes, Ordering::Relaxed);
+        }
     }
 
     /// Attributes one critical section's wait (acquisition) and hold time.
@@ -385,13 +390,6 @@ impl StatsSnapshot {
             // of its close.
             top_keys: self.top_keys,
         }
-    }
-
-    /// The activity recorded since `base` was taken (alias of
-    /// [`StatsSnapshot::delta`], kept for the driver's historical
-    /// window-mark phrasing).
-    pub fn since(&self, base: &StatsSnapshot) -> StatsSnapshot {
-        self.delta(base)
     }
 
     /// Folds another snapshot into this one.
@@ -556,8 +554,6 @@ mod tests {
         assert_eq!(d.lock_wait_ns, 5);
         assert_eq!(d.lock_hold_ns, 7);
         assert_eq!(d.latency.count(), 1);
-        // `since` is the same computation under its historical name.
-        assert_eq!(s.snapshot().since(&base), d);
     }
 
     #[test]

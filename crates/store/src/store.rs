@@ -52,17 +52,19 @@ struct Entry {
     /// Store-clock nanoseconds after which the entry is dead; [`NEVER`]
     /// when the entry has no TTL.
     expires_at_ns: u64,
-    /// This entry's slot in the shard's CLOCK ring.
+    /// This entry's slot in the shard's CLOCK ring, kept for its life.
     ring: u32,
-    /// CLOCK reference bit: set on every hit, cleared when the hand
-    /// sweeps past, evicted when found clear.
+    /// CLOCK reference bit: set by a hit or an overwrite, cleared when
+    /// the hand sweeps past, evicted when found clear.
     referenced: bool,
 }
 
 /// Everything a shard guards under its lock: the index, the value arena,
-/// and the CLOCK ring (`ring[i]` is a key; a slot is *stale* when its key
-/// is gone or points at a different slot — removed entries leave their
-/// slot behind and the hand or the compactor reclaims it lazily).
+/// and the CLOCK ring the hand walks (`ring[i]` is a key). A live entry
+/// owns one slot from insert to eviction or removal: an overwrite
+/// updates the entry in place. A slot is *stale* when its key is gone or
+/// owns a different slot; only removes and expiry leave one behind, and
+/// the hand or the compactor reclaims it lazily.
 struct ShardData {
     map: HashMap<u64, Entry>,
     slab: Slab,
@@ -160,10 +162,21 @@ impl ShardData {
         }
     }
 
-    /// Insert/overwrite. An overwrite is a remove-then-insert (the freed
-    /// block is the LIFO freelist head, so the bytes usually land right
-    /// back in the same block); the fresh entry's reference bit is set
-    /// only on overwrite, so cold inserts are first in line for the hand.
+    /// Insert or overwrite at store clock `now_ns`.
+    ///
+    /// An overwrite of a live key updates the entry in place and counts
+    /// as a reference, as in textbook CLOCK: the entry keeps its map and
+    /// ring slots, its reference bit is set, and the old bytes come back
+    /// as `prev`. Its old block is freed, the hand makes room around the
+    /// entry (pinned, so never its own victim) and the entry moves to a
+    /// new block. For a value of the same size class that is the block
+    /// just freed: the class freelist is LIFO, and the freed bytes
+    /// already make room, so the hand does not move.
+    ///
+    /// An absent key is inserted at the ring's tail with its reference
+    /// bit clear, so cold inserts are first in line for the hand. An
+    /// expired entry is dropped first (one expiration, no `prev`) and its
+    /// key inserted afresh.
     ///
     /// A value whose charged block exceeds the whole per-shard budget is
     /// *refused* (the old entry, if any, is still removed and returned):
@@ -176,41 +189,60 @@ impl ShardData {
         budget: Option<u64>,
         now_ns: u64,
     ) -> Outcome {
-        let mut out = self.remove(key, now_ns);
         let need = Slab::block_size(value.len()) as u64;
-        if let Some(b) = budget {
-            if need > b {
-                self.maybe_compact();
+        let refused = budget.is_some_and(|b| need > b);
+        let mut out = Outcome::default();
+        match self.map.get_mut(&key) {
+            Some(e) if e.expires_at_ns > now_ns && !refused => {
+                out.prev = Some(self.slab.get(e.handle, e.len as usize).to_vec());
+                e.referenced = true;
+                e.expires_at_ns = expires_at_ns;
+                let old_len = std::mem::replace(&mut e.len, value.len() as u32) as usize;
+                self.slab.free(e.handle, old_len);
+                self.make_room(need, budget, now_ns, Some(key), &mut out);
+                let handle = self.slab.alloc(value);
+                self.map.get_mut(&key).expect("the hand steps over a pinned key").handle = handle;
                 return out;
             }
-            let sweep = self.make_room(need, b, now_ns);
-            out.evicted += sweep.evicted;
-            out.expired += sweep.expired;
-            out.sweep_event = self.summarise(sweep, now_ns);
+            Some(_) => out = self.remove(key, now_ns),
+            None => {}
         }
+        if refused {
+            self.maybe_compact();
+            return out;
+        }
+        self.make_room(need, budget, now_ns, None, &mut out);
         let handle = self.slab.alloc(value);
         let ring = self.ring.len() as u32;
         self.ring.push(key);
         self.map.insert(
             key,
-            Entry {
-                handle,
-                len: value.len() as u32,
-                expires_at_ns,
-                ring,
-                referenced: out.prev.is_some(),
-            },
+            Entry { handle, len: value.len() as u32, expires_at_ns, ring, referenced: false },
         );
         self.maybe_compact();
         out
     }
 
-    /// CLOCK sweep until `need` more bytes fit under `budget`. Stale
-    /// slots are reclaimed on contact; expired entries are dropped (and
-    /// counted as expirations, not evictions); referenced entries get a
-    /// second chance. Terminates: every step frees bytes, clears a
-    /// reference bit, or removes a ring slot.
-    fn make_room(&mut self, need: u64, budget: u64, now_ns: u64) -> Sweep {
+    /// Under a `budget`, runs the CLOCK hand until `need` more bytes fit
+    /// and books what it reclaimed into `out`. Stale slots are reclaimed
+    /// on contact; expired entries are dropped (and counted as
+    /// expirations, not evictions); referenced entries get a second
+    /// chance; the `pinned` entry (an overwrite whose old block is
+    /// already freed) is stepped over. Terminates: every other step frees
+    /// bytes, clears a reference bit, or removes a ring slot, and the
+    /// pinned entry holds no bytes, so a lap over budget always reaches
+    /// one of those.
+    fn make_room(
+        &mut self,
+        need: u64,
+        budget: Option<u64>,
+        now_ns: u64,
+        pinned: Option<u64>,
+        out: &mut Outcome,
+    ) {
+        let Some(budget) = budget else {
+            return;
+        };
         let mut sweep = Sweep::default();
         let mut second_chances = self.ring.len();
         while self.slab.mem_bytes() + need > budget && !self.ring.is_empty() {
@@ -221,6 +253,10 @@ impl ShardData {
             let live = matches!(self.map.get(&key), Some(e) if e.ring as usize == self.hand);
             if !live {
                 self.remove_ring_slot(self.hand);
+                continue;
+            }
+            if pinned == Some(key) {
+                self.hand += 1;
                 continue;
             }
             let e = self.map.get_mut(&key).expect("checked live above");
@@ -240,7 +276,9 @@ impl ShardData {
                 sweep.evicted += 1;
             }
         }
-        sweep
+        out.evicted += sweep.evicted;
+        out.expired += sweep.expired;
+        out.sweep_event = self.summarise(sweep, now_ns);
     }
 
     /// Drops ring slot `i` by swap-remove, re-pointing the entry that
@@ -373,7 +411,7 @@ impl PolyStore {
     /// Live value bytes across all shards (block-size charged; see
     /// [`Slab::mem_bytes`]).
     pub fn mem_bytes(&self) -> u64 {
-        (0..self.shards.len()).map(|i| self.with_shard(i, clock(), |s| s.slab.mem_bytes()).0).sum()
+        (0..self.shards.len()).map(|i| self.with_shard(i, clock(), |_| ()).1).sum()
     }
 
     /// Advances the store clock without waiting — a test aid that makes
@@ -403,28 +441,34 @@ impl PolyStore {
     }
 
     /// Runs `f` under shard `idx`'s lock and returns its result with the
-    /// release instant `t2`. `t0` is the caller's entry instant, where
-    /// the lock wait starts, so a visit reads the clock only at
-    /// acquisition (`t1`) and release: wait = `t1 - t0`, hold =
-    /// `t2 - t1`.
+    /// shard's residency after `f` and the release instant `t2`. `t0` is
+    /// the caller's entry instant, where the lock wait starts, so a visit
+    /// reads the clock only at acquisition (`t1`) and release: wait =
+    /// `t1 - t0`, hold = `t2 - t1`. The residency is published to the
+    /// shard's gauge before the release, so the gauge moves in the order
+    /// the shard's visits ran and equals the slab's residency whenever
+    /// the shard is idle.
     fn with_shard<R>(
         &self,
         idx: usize,
         t0: Instant,
         f: impl FnOnce(&mut ShardData) -> R,
-    ) -> (R, Instant) {
+    ) -> (R, u64, Instant) {
         let shard = &self.shards[idx];
         let mut guard = shard.data.lock();
         let t1 = clock();
         let r = f(&mut guard);
+        let mem = guard.slab.mem_bytes();
+        shard.stats.set_mem_bytes(mem);
         drop(guard);
         let t2 = clock();
         shard.stats.record_lock(nanos(t0, t1), nanos(t1, t2));
-        (r, t2)
+        (r, mem, t2)
     }
 
     /// Books an [`Outcome`]'s cache effects against shard `idx` and
-    /// journals its sweep summary, if one is due.
+    /// journals its sweep summary, if one is due, with `mem`, the
+    /// shard's residency when the op released the lock.
     fn record_outcome(&self, idx: usize, out: &Outcome, mem: u64) {
         let stats = &self.shards[idx].stats;
         if out.evicted > 0 {
@@ -433,7 +477,6 @@ impl PolyStore {
         if out.expired > 0 {
             stats.record_expired(out.expired);
         }
-        stats.set_mem_bytes(mem);
         if let Some(sweep) = out.sweep_event {
             // Counters say how many entries died; the journal says where
             // the hand ran and what it reclaimed, summed per shard so a
@@ -467,10 +510,7 @@ impl PolyStore {
         let t0 = clock();
         let now = self.clock_ns(t0);
         let idx = self.shard_of(key);
-        let ((out, mem), t2) = self.with_shard(idx, t0, |s| {
-            let out = op(s, now);
-            (out, s.slab.mem_bytes())
-        });
+        let (out, mem, t2) = self.with_shard(idx, t0, |s| op(s, now));
         self.record_outcome(idx, &out, mem);
         let stats = &self.shards[idx].stats;
         count(stats, &out);
@@ -552,7 +592,7 @@ impl PolyStore {
                 continue;
             }
             let t0 = clock();
-            let ((out, mem), t2) = self.with_shard(idx, t0, |s| {
+            let (out, mem, t2) = self.with_shard(idx, t0, |s| {
                 let mut out = Outcome::default();
                 for &(key, val) in ops {
                     let o = match val {
@@ -565,7 +605,7 @@ impl PolyStore {
                     // hands out a sweep summary.
                     out.sweep_event = out.sweep_event.or(o.sweep_event);
                 }
-                (out, s.slab.mem_bytes())
+                out
             });
             self.record_outcome(idx, &out, mem);
             let stats = &self.shards[idx].stats;
@@ -607,7 +647,7 @@ impl PolyStore {
                         }
                     }
                 })
-                .1;
+                .2;
         }
         let e = *epoch;
         drop(epoch);
@@ -908,6 +948,115 @@ mod tests {
         assert_eq!(store.get(1), None);
         assert_eq!(store.mem_bytes(), 0);
         assert_eq!(store.total_stats().evictions, 0, "refusal is not eviction");
+    }
+
+    #[test]
+    fn overwrites_keep_the_entry_and_its_ring_slot() {
+        let mut s = ShardData::new();
+        let resized = |i: u64| vec![i as u8; if i.is_multiple_of(2) { 40 } else { 100 }];
+        let same = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes().to_vec();
+        for (key, value) in [(1u64, resized(0)), (2, same(0))] {
+            assert_eq!(s.put(key, &value, NEVER, None, 0).prev, None);
+        }
+        for i in 1..=1_000u64 {
+            for (key, old, new) in [(1u64, resized(i - 1), resized(i)), (2, same(i - 1), same(i))] {
+                let out = s.put(key, &new, NEVER, None, 0);
+                assert_eq!(out.prev, Some(old), "overwrite {i} of key {key} returns the old bytes");
+                assert_eq!(
+                    s.ring.len(),
+                    s.map.len(),
+                    "overwrite {i} of key {key} left a stale slot"
+                );
+                assert_eq!(s.get(key, 0).prev, Some(new), "overwrite {i} of key {key} reads back");
+            }
+        }
+        assert_eq!(s.slab.mem_bytes(), 64 + 16, "one block per key");
+    }
+
+    #[test]
+    fn resizing_overwrites_make_room_around_the_entry() {
+        let store = PolyStore::new(StoreConfig {
+            shards: 1,
+            mem_budget: Some(4 * 64),
+            ..Default::default()
+        });
+        for k in 0..4u64 {
+            store.put(k, &[k as u8; 64]);
+        }
+        let resident =
+            |keys: std::ops::Range<u64>| keys.filter(|&k| store.get(k).is_some()).count();
+        // Into the 128 class. Keys 1-3 are referenced, so the hand laps
+        // back to key 0 with its bit cleared: it must step over it and
+        // evict one other key.
+        assert_eq!(resident(1..4), 3);
+        assert_eq!(store.put(0, &[0xA0; 128]).as_deref(), Some(&[0u8; 64][..]));
+        assert_eq!(store.total_stats().evictions, 1);
+        assert_eq!(store.get(0).as_deref(), Some(&[0xA0u8; 128][..]));
+        assert_eq!(resident(1..4), 2);
+        // The whole budget: everything else goes, key 0 stays.
+        assert_eq!(store.put(0, &[0xB0; 256]).as_deref(), Some(&[0xA0u8; 128][..]));
+        assert_eq!(store.total_stats().evictions, 3);
+        assert_eq!(store.get(0).as_deref(), Some(&[0xB0u8; 256][..]));
+        assert_eq!(resident(1..4), 0);
+        assert_eq!(store.mem_bytes(), 4 * 64);
+        // Mixed-size inserts and overwrites of other keys under pressure:
+        // a block handed out twice would corrupt some resident value.
+        let mut last = HashMap::from([(0u64, vec![0xB0u8; 256])]);
+        for i in 0..100u64 {
+            let key = 10 + i % 7;
+            let len = [5, 60, 100, 16, 130, 64, 33, 200][(i % 8) as usize];
+            let value: Vec<u8> = (0..len).map(|j| (i * 31 + j) as u8).collect();
+            store.put(key, &value);
+            last.insert(key, value);
+            assert!(store.mem_bytes() <= 4 * 64, "budget busted at put {i}");
+            store.scan(|k, v| assert_eq!(Some(v), last.get(&k).map(Vec::as_slice), "put {i}"));
+            let s = store.shards[0].data.lock();
+            assert_eq!(s.ring.len(), s.map.len(), "put {i}: no removes, so no stale slots");
+        }
+    }
+
+    #[test]
+    fn overwriting_an_expired_entry_counts_one_expiration() {
+        let store = PolyStore::new(StoreConfig {
+            shards: 1,
+            default_ttl: Some(Duration::from_secs(60)),
+            ..Default::default()
+        });
+        store.put(1, b"old");
+        store.advance_clock(Duration::from_secs(61));
+        assert_eq!(store.put(1, b"new"), None, "an expired value is not returned");
+        let total = store.total_stats();
+        assert_eq!((total.expired, total.evictions), (1, 0));
+        assert_eq!(store.get(1).as_deref(), Some(&b"new"[..]));
+    }
+
+    #[test]
+    fn residency_gauges_match_the_slabs_at_quiesce() {
+        let store = PolyStore::new(StoreConfig {
+            shards: 2,
+            mem_budget: Some(2 * 1024),
+            ..Default::default()
+        });
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let store = &store;
+                scope.spawn(move || {
+                    let mut rng = crate::workload::Rng64::new(t + 1);
+                    for _ in 0..20_000 {
+                        let len = 1 + rng.below(300) as usize;
+                        store.put(rng.below(64), &vec![t as u8; len]);
+                    }
+                });
+            }
+        });
+        // Gauges first: every shard visit publishes its shard's gauge.
+        let (total, shards) = store.stats_with_shards();
+        let slabs: Vec<u64> = store.shards.iter().map(|s| s.data.lock().slab.mem_bytes()).collect();
+        for (i, (gauge, slab)) in shards.iter().zip(&slabs).enumerate() {
+            assert_eq!(gauge.mem_bytes, *slab, "shard {i}'s gauge");
+        }
+        assert!(total.evictions > 0, "test premise: the budget evicted");
+        assert_eq!(total.mem_bytes, store.mem_bytes());
     }
 
     #[test]
