@@ -14,8 +14,9 @@
 //!   per-shard [`Slab`] (size-class freelists) with per-item TTL and
 //!   CLOCK eviction under [`StoreConfig::mem_budget`] — the Memcached
 //!   cache semantics the paper's §6 evaluation centers on;
-//! * [`ShardStats`] — per-shard op counts, lock wait/hold time and
-//!   log-scaled latency histograms, recorded off the critical path;
+//! * [`ShardStats`] — exact per-shard op counts, plus lock wait/hold time
+//!   and log-scaled latency histograms estimated from about one point op
+//!   in [`SKETCH_SAMPLE`], recorded off the critical path;
 //! * [`KvMix`] — the declarative `kv` workload family (uniform, zipf-hot,
 //!   scan-heavy, write-burst) shared with `poly-scenarios`, so the same
 //!   mix drives this native store and the simulated Xeon;

@@ -1,5 +1,25 @@
 //! Per-shard operation statistics: counters, lock timing, latency tails.
 //!
+//! Counts are exact: every op moves its op, hit, eviction and expiry
+//! counters and the residency gauge. Timing is sampled: a thread-local
+//! gate ([`observe`]) picks about one point op in [`SKETCH_SAMPLE`], and
+//! only that op also reads the clock at lock acquisition and release. It
+//! books its lock wait and hold and its service time weighted by
+//! `SKETCH_SAMPLE`, so `lock_wait_ns`, `lock_hold_ns` and the latency
+//! histogram's counts are estimates made from the observed ops, and the
+//! histogram's max is the max of the observed ops. The same observed ops
+//! feed the hot-key sketch. Batch visits and scans are timed on every
+//! visit, at weight 1.
+//!
+//! The timed figures describe the instrumented ops, with two biases. An
+//! observed op pays two clock reads the others skip, one of them inside
+//! the lock, so its hold and service time overstate the untimed majority's
+//! by about that cost. And each thread's first op is always observed, so a
+//! thread that runs only a few ops (a short connection on a
+//! thread-per-connection server) books up to `SKETCH_SAMPLE` times as many
+//! timed ops as it ran, and the histogram's count can exceed the exact op
+//! count.
+//!
 //! Recording is lock-free: relaxed atomics the operating thread touches
 //! after its own critical section, so the stats path stays out of the
 //! lock behavior under test. The one exception is the residency gauge,
@@ -8,6 +28,7 @@
 //! [`ShardStats::snapshot`]s — plain data that can be merged across shards
 //! and queried for percentiles.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -16,16 +37,51 @@ use std::sync::Mutex;
 /// slots a snapshot exposes).
 pub const TOP_KEYS: usize = 8;
 
-/// Point ops between sketch offers: the hot-key path samples 1-in-N so
-/// the sketch costs one relaxed `fetch_add` per op and a tiny mutex only
-/// on the sampled minority.
+/// Point ops per observed one, on average: the one sampling constant.
+/// An observed op's lock wait, hold and service time are booked this many
+/// times, and each of its sketch offers counts for this many touches.
 pub const SKETCH_SAMPLE: u64 = 8;
+
+thread_local! {
+    /// This thread's point ops left to skip before the next observed
+    /// one, and the xorshift state that draws the gaps (0 until the
+    /// thread's first op seeds it).
+    static GATE: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// The next thread's gate seed: a Weyl sequence, so seeds are distinct.
+static GATE_SEEDS: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
+
+/// Whether the calling thread's next point op is observed. A thread
+/// observes its first op, then ops at gaps drawn uniformly from
+/// `1..2 * SKETCH_SAMPLE`, whose mean is [`SKETCH_SAMPLE`]. The gaps are
+/// pseudo-random, so no periodic pattern in a thread's ops (say, one key
+/// every eighth op) lines up with the gate, and weighting each observed op
+/// by `SKETCH_SAMPLE` estimates the totals of all ops.
+pub(crate) fn observe() -> bool {
+    GATE.with(|gate| {
+        let (skip, mut state) = gate.get();
+        if skip > 0 {
+            gate.set((skip - 1, state));
+            return false;
+        }
+        if state == 0 {
+            // xorshift needs a nonzero state.
+            state = GATE_SEEDS.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed) | 1;
+        }
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        gate.set((state % (2 * SKETCH_SAMPLE - 1), state));
+        true
+    })
+}
 
 /// One estimated hot-key counter from the per-shard SpaceSaving sketch.
 ///
 /// `count` is an *estimate* of how many point operations touched `key`
-/// (sampled touches scaled back up by [`SKETCH_SAMPLE`]); SpaceSaving
-/// guarantees it is an upper bound on the true sampled count, so a
+/// (observed touches scaled back up by [`SKETCH_SAMPLE`]); SpaceSaving
+/// guarantees it is an upper bound on the true observed count, so a
 /// genuinely hot key can never be reported colder than it is. A slot
 /// with `count == 0` is empty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,7 +121,7 @@ impl SpaceSaving {
     }
 
     /// The tracked counters, hottest first, scaled back to estimated
-    /// (unsampled) touches.
+    /// touches of all ops, observed or not.
     fn top(&self) -> [HotKey; TOP_KEYS] {
         let mut sorted = self.entries.clone();
         sorted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -113,7 +169,12 @@ impl LatencyHistogram {
 
     /// Records one sample.
     pub fn record(&self, ns: u64) {
-        self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.record_n(ns, 1);
+    }
+
+    /// Records a sample that stands for `n` samples of the same value.
+    pub fn record_n(&self, ns: u64, n: u64) {
+        self.buckets[Self::bucket_of(ns)].fetch_add(n, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
@@ -191,7 +252,9 @@ impl HistogramSnapshot {
     }
 }
 
-/// Concurrent per-shard counters.
+/// Concurrent per-shard counters. Op, hit, eviction and expiry counts are
+/// exact; lock wait and hold and the latency histogram are weighted
+/// estimates (see the module docs).
 #[derive(Debug, Default)]
 pub struct ShardStats {
     gets: AtomicU64,
@@ -207,8 +270,6 @@ pub struct ShardStats {
     mem_bytes: AtomicU64,
     /// Service time of point operations against this shard.
     op_latency: LatencyHistogram,
-    /// Point ops seen by the hot-key sampler (the 1-in-N gate).
-    sampled: AtomicU64,
     /// The SpaceSaving hot-key sketch behind [`StatsSnapshot::top_keys`].
     sketch: Mutex<SpaceSaving>,
 }
@@ -267,26 +328,26 @@ impl ShardStats {
     }
 
     /// Attributes one critical section's wait (acquisition) and hold time.
+    /// An observed point op passes its own times multiplied by
+    /// [`SKETCH_SAMPLE`]: it stands for that many ops.
     pub fn record_lock(&self, wait_ns: u64, hold_ns: u64) {
         self.lock_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
         self.lock_hold_ns.fetch_add(hold_ns, Ordering::Relaxed);
     }
 
-    /// Records a point-op service latency.
-    pub fn record_latency(&self, ns: u64) {
-        self.op_latency.record(ns);
+    /// Records a service latency that stands for `weight` ops: an
+    /// observed point op's weight is [`SKETCH_SAMPLE`], a batch visit's 1.
+    pub fn record_latency(&self, ns: u64, weight: u64) {
+        self.op_latency.record_n(ns, weight);
     }
 
-    /// Offers a point-op key to the hot-key sketch, 1-in-[`SKETCH_SAMPLE`]
-    /// sampled. The off-sample majority pays one relaxed `fetch_add`; the
-    /// sampled minority takes a tiny uncontended mutex, and a *contended*
-    /// sample is simply dropped (`try_lock`) — the sketch trades accuracy,
-    /// never latency, and like the counters it runs outside the shard
-    /// lock's critical section.
+    /// Offers an observed point op's key to the hot-key sketch, whose
+    /// counts scale each offer back up by [`SKETCH_SAMPLE`]. The offer
+    /// takes a tiny uncontended mutex, and a *contended* one is simply
+    /// dropped (`try_lock`) — the sketch trades accuracy, never latency,
+    /// and like the counters it runs outside the shard lock's critical
+    /// section.
     pub fn note_key(&self, key: u64) {
-        if !self.sampled.fetch_add(1, Ordering::Relaxed).is_multiple_of(SKETCH_SAMPLE) {
-            return;
-        }
         if let Ok(mut sketch) = self.sketch.try_lock() {
             sketch.offer(key);
         }
@@ -327,9 +388,10 @@ pub struct StatsSnapshot {
     pub scans: u64,
     /// Batches applied.
     pub batches: u64,
-    /// Cumulative lock-acquisition wait, nanoseconds.
+    /// Cumulative lock-acquisition wait, nanoseconds (an estimate: see
+    /// the module docs).
     pub lock_wait_ns: u64,
-    /// Cumulative lock hold time, nanoseconds.
+    /// Cumulative lock hold time, nanoseconds (an estimate).
     pub lock_hold_ns: u64,
     /// Entries evicted by the CLOCK hand under memory pressure.
     pub evictions: u64,
@@ -340,7 +402,8 @@ pub struct StatsSnapshot {
     /// [`StatsSnapshot::delta`] carries the *later* snapshot's value —
     /// a window reports the residency at its close, not a difference).
     pub mem_bytes: u64,
-    /// Point-op service-time histogram.
+    /// Point-op service-time histogram: bucket counts estimate all ops,
+    /// the max is the max of the observed ones.
     pub latency: HistogramSnapshot,
     /// Hottest keys by estimated touches, hottest first, empty slots
     /// zero-count. Like `mem_bytes` this is gauge-shaped:
@@ -517,12 +580,12 @@ mod tests {
         a.record_get(true);
         a.record_put();
         a.record_lock(10, 20);
-        a.record_latency(100);
+        a.record_latency(100, 1);
         let b = ShardStats::new();
         b.record_get(false);
         b.record_remove();
         b.record_lock(1, 2);
-        b.record_latency(200);
+        b.record_latency(200, 1);
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m.gets, 2);
@@ -540,12 +603,12 @@ mod tests {
         let s = ShardStats::new();
         s.record_get(true);
         s.record_lock(10, 20);
-        s.record_latency(100);
+        s.record_latency(100, 1);
         let base = s.snapshot();
         s.record_get(false);
         s.record_put();
         s.record_lock(5, 7);
-        s.record_latency(300);
+        s.record_latency(300, 1);
         let d = s.snapshot().delta(&base);
         assert_eq!(d.gets, 1);
         assert_eq!(d.get_hits, 0);
@@ -562,7 +625,7 @@ mod tests {
         s.record_get(true);
         s.record_put();
         s.record_lock(3, 4);
-        s.record_latency(50);
+        s.record_latency(50, 1);
         let snap = s.snapshot();
         let d = snap.delta(&snap);
         assert_eq!(d.point_ops(), 0, "identical marks must yield an empty window");
@@ -655,23 +718,42 @@ mod tests {
     #[test]
     fn sketch_surfaces_the_heaviest_key() {
         let s = ShardStats::new();
-        // 800 touches of key 1 → ~100 sampled offers; 20 background keys
-        // at 8 touches each can churn the low slots but never the top.
-        for _ in 0..800 {
+        // 100 observed touches of key 1; 20 background keys at one touch
+        // each can churn the low slots but never the top.
+        for _ in 0..100 {
             s.note_key(1);
         }
         for k in 100..120u64 {
-            for _ in 0..8 {
-                s.note_key(k);
-            }
+            s.note_key(k);
         }
         let top = s.snapshot().top_keys;
-        assert_eq!(top[0].key, 1, "hottest key leads the sketch: {top:?}");
-        assert!(top[0].count >= 400, "estimate scaled by the sample rate: {top:?}");
+        assert_eq!(top[0], HotKey { key: 1, count: 100 * SKETCH_SAMPLE }, "{top:?}");
         // Slots are sorted hottest-first and empty slots are zero-count.
         for pair in top.windows(2) {
             assert!(pair[0].count >= pair[1].count, "unsorted sketch: {top:?}");
         }
+    }
+
+    #[test]
+    fn the_gate_observes_a_threads_first_op_then_one_in_eight() {
+        let gaps = std::thread::spawn(|| {
+            assert!(observe(), "a thread's first op is observed");
+            let (mut gaps, mut last) = (Vec::new(), 0u64);
+            for op in 1..80_000u64 {
+                if observe() {
+                    gaps.push(op - last);
+                    last = op;
+                }
+            }
+            gaps
+        })
+        .join()
+        .expect("gate thread");
+        assert!(gaps.iter().all(|g| (1..2 * SKETCH_SAMPLE).contains(g)), "gap out of range");
+        let observed = gaps.len() as f64 + 1.0;
+        let want = 80_000.0 / SKETCH_SAMPLE as f64;
+        assert!((observed - want).abs() < 0.05 * want, "{observed} observed, want ~{want}");
+        assert!(gaps.windows(2).any(|w| w[0] != w[1]), "the gaps must vary");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use poly_locks_sim::LockKind;
 use crate::anylock::AnyLock;
 use crate::batch::WriteBatch;
 use crate::slab::{Slab, SlabHandle};
-use crate::stats::{LatencyHistogram, ShardStats, StatsSnapshot};
+use crate::stats::{observe, LatencyHistogram, ShardStats, StatsSnapshot, SKETCH_SAMPLE};
 
 /// Construction parameters of a [`PolyStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -345,10 +345,11 @@ impl ShardData {
 /// * **Batches** ([`apply`](PolyStore::apply)) group writes by shard and
 ///   take each shard lock once.
 ///
-/// Every operation feeds the owning shard's [`ShardStats`]: op counts,
-/// hit/miss/eviction/expiry counts, live-byte gauges, lock wait/hold
-/// time, and a service-time histogram — the raw material for the
-/// [`crate::energy`] bridge's joules-per-op estimate.
+/// Every operation feeds the owning shard's [`ShardStats`]: exact op
+/// counts, hit/miss/eviction/expiry counts and live-byte gauges, and
+/// estimates of lock wait/hold time and of the service-time histogram
+/// from about one point op in [`SKETCH_SAMPLE`] — the raw material for
+/// the [`crate::energy`] bridge's joules-per-op estimate.
 pub struct PolyStore {
     shards: Box<[Shard]>,
     lock: LockKind,
@@ -409,9 +410,10 @@ impl PolyStore {
     }
 
     /// Live value bytes across all shards (block-size charged; see
-    /// [`Slab::mem_bytes`]).
+    /// [`Slab::mem_bytes`]). A residency read, not an op: its untimed
+    /// shard visits book no lock time.
     pub fn mem_bytes(&self) -> u64 {
-        (0..self.shards.len()).map(|i| self.with_shard(i, clock(), |_| ()).1).sum()
+        (0..self.shards.len()).map(|i| self.with_shard(i, None, |_| ()).1).sum()
     }
 
     /// Advances the store clock without waiting — a test aid that makes
@@ -441,28 +443,33 @@ impl PolyStore {
     }
 
     /// Runs `f` under shard `idx`'s lock and returns its result with the
-    /// shard's residency after `f` and the release instant `t2`. `t0` is
-    /// the caller's entry instant, where the lock wait starts, so a visit
-    /// reads the clock only at acquisition (`t1`) and release: wait =
-    /// `t1 - t0`, hold = `t2 - t1`. The residency is published to the
-    /// shard's gauge before the release, so the gauge moves in the order
-    /// the shard's visits ran and equals the slab's residency whenever
-    /// the shard is idle.
+    /// shard's residency after `f` and, for a timed visit, the release
+    /// instant `t2`. A timed visit passes `(t0, weight)`: `t0` is the
+    /// caller's entry instant, where the lock wait starts, so the visit
+    /// reads the clock only at acquisition (`t1`) and release, and books
+    /// wait = `t1 - t0` and hold = `t2 - t1` for `weight` visits. An
+    /// untimed visit reads no clock and books no lock time. The residency
+    /// is published to the shard's gauge before the release, so the gauge
+    /// moves in the order the shard's visits ran and equals the slab's
+    /// residency whenever the shard is idle.
     fn with_shard<R>(
         &self,
         idx: usize,
-        t0: Instant,
+        timed: Option<(Instant, u64)>,
         f: impl FnOnce(&mut ShardData) -> R,
-    ) -> (R, u64, Instant) {
+    ) -> (R, u64, Option<Instant>) {
         let shard = &self.shards[idx];
         let mut guard = shard.data.lock();
-        let t1 = clock();
+        let acquired = timed.map(|timed| (timed, clock()));
         let r = f(&mut guard);
         let mem = guard.slab.mem_bytes();
         shard.stats.set_mem_bytes(mem);
         drop(guard);
-        let t2 = clock();
-        shard.stats.record_lock(nanos(t0, t1), nanos(t1, t2));
+        let t2 = acquired.map(|((t0, weight), t1)| {
+            let t2 = clock();
+            shard.stats.record_lock(weight * nanos(t0, t1), weight * nanos(t1, t2));
+            t2
+        });
         (r, mem, t2)
     }
 
@@ -498,24 +505,32 @@ impl PolyStore {
     }
 
     /// One point op on `key`'s shard: `op` runs under the lock at the
-    /// store clock of entry; `count` books the op kind after release,
-    /// beside the key sample and the service time (entry to release).
-    /// Three clock reads in all: entry, acquisition and release.
+    /// store clock of entry; `count` books the op kind after release. The
+    /// thread's gate ([`observe`]) picks about one op in [`SKETCH_SAMPLE`]
+    /// to observe: besides the entry clock it reads the clock at
+    /// acquisition and release, and books its lock wait and hold, its
+    /// service time (entry to release) and its key sample for
+    /// `SKETCH_SAMPLE` ops. Any other op reads only the entry clock.
     fn point_op(
         &self,
         key: u64,
         op: impl FnOnce(&mut ShardData, u64) -> Outcome,
         count: impl FnOnce(&ShardStats, &Outcome),
     ) -> Option<Vec<u8>> {
+        let observed = observe();
         let t0 = clock();
         let now = self.clock_ns(t0);
         let idx = self.shard_of(key);
-        let (out, mem, t2) = self.with_shard(idx, t0, |s| op(s, now));
+        let timed = observed.then_some((t0, SKETCH_SAMPLE));
+        let (out, mem, t2) = self.with_shard(idx, timed, |s| op(s, now));
         self.record_outcome(idx, &out, mem);
         let stats = &self.shards[idx].stats;
         count(stats, &out);
-        stats.note_key(key);
-        stats.record_latency(nanos(t0, t2));
+        // Only a timed visit returns its release instant.
+        if let Some(t2) = t2 {
+            stats.note_key(key);
+            stats.record_latency(nanos(t0, t2), SKETCH_SAMPLE);
+        }
         out.prev
     }
 
@@ -592,7 +607,7 @@ impl PolyStore {
                 continue;
             }
             let t0 = clock();
-            let (out, mem, t2) = self.with_shard(idx, t0, |s| {
+            let (out, mem, t2) = self.with_shard(idx, Some((t0, 1)), |s| {
                 let mut out = Outcome::default();
                 for &(key, val) in ops {
                     let o = match val {
@@ -617,7 +632,9 @@ impl PolyStore {
                     stats.record_remove();
                 }
             }
-            stats.record_latency(nanos(t0, t2));
+            if let Some(t2) = t2 {
+                stats.record_latency(nanos(t0, t2), 1);
+            }
         }
     }
 
@@ -637,17 +654,16 @@ impl PolyStore {
         let mut released = t0;
         for idx in 0..self.shards.len() {
             self.shards[idx].stats.record_scan();
-            // Through with_shard so scan-side contention reaches the
+            // Timed on every visit, so scan-side contention reaches the
             // wait/hold stats (and thus the energy model) too.
-            released = self
-                .with_shard(idx, clock(), |s| {
-                    for (&k, e) in s.map.iter() {
-                        if e.expires_at_ns > now {
-                            f(k, s.slab.get(e.handle, e.len as usize));
-                        }
+            let visit = self.with_shard(idx, Some((clock(), 1)), |s| {
+                for (&k, e) in s.map.iter() {
+                    if e.expires_at_ns > now {
+                        f(k, s.slab.get(e.handle, e.len as usize));
                     }
-                })
-                .2;
+                }
+            });
+            released = visit.2.unwrap_or(released);
         }
         let e = *epoch;
         drop(epoch);
@@ -719,7 +735,7 @@ impl PolyStore {
     /// native snapshot path reads — so a scrape at quiesce equals the
     /// corresponding [`StatsSnapshot`] field exactly.
     pub fn register_metrics(self: &Arc<Self>, reg: &poly_obs::MetricRegistry) {
-        let counter = |name, help, read: fn(&StatsSnapshot) -> u64| {
+        let counter = |name, help: &str, read: fn(&StatsSnapshot) -> u64| {
             let store = Arc::clone(self);
             reg.register_counter(name, help, &[], move || read(&store.total_stats()));
         };
@@ -731,14 +747,21 @@ impl PolyStore {
         counter("store_batches_total", "Batches applied to shards.", |s| s.batches);
         counter("store_evictions_total", "Entries evicted by the CLOCK hand.", |s| s.evictions);
         counter("store_expired_total", "Entries dropped because their TTL lapsed.", |s| s.expired);
+        let sampled = format!(
+            "estimated from about one point op in {SKETCH_SAMPLE} plus each thread's first, \
+             each counted {SKETCH_SAMPLE} times; those ops read two more clocks than the rest, \
+             so the estimate overstates the rest by about that cost"
+        );
         counter(
             "store_lock_wait_ns_total",
-            "Cumulative shard-lock acquisition wait, nanoseconds.",
+            &format!("Cumulative shard-lock acquisition wait, nanoseconds; {sampled}."),
             |s| s.lock_wait_ns,
         );
-        counter("store_lock_hold_ns_total", "Cumulative shard-lock hold time, nanoseconds.", |s| {
-            s.lock_hold_ns
-        });
+        counter(
+            "store_lock_hold_ns_total",
+            &format!("Cumulative shard-lock hold time, nanoseconds; {sampled}."),
+            |s| s.lock_hold_ns,
+        );
         let store = Arc::clone(self);
         reg.register_gauge_u64(
             "store_mem_bytes",
@@ -749,8 +772,10 @@ impl PolyStore {
         let store = Arc::clone(self);
         reg.register_histogram(
             "store_op_latency_ns",
-            "Point-op service time from entry to shard-lock release (lock wait + hold), \
-             nanoseconds (log-scaled buckets).",
+            &format!(
+                "Point-op service time from entry to shard-lock release (lock wait + hold), \
+                 nanoseconds (log-scaled buckets); {sampled}."
+            ),
             &[],
             move || store.total_stats().latency.buckets.to_vec(),
         );
@@ -1095,7 +1120,7 @@ mod tests {
     }
 
     #[test]
-    fn point_ops_read_the_clock_three_times() {
+    fn observed_ops_read_three_clocks_and_others_one() {
         // TTL and budget both set, so every put stamps an expiry and the
         // later ones evict.
         let store = PolyStore::new(StoreConfig {
@@ -1104,17 +1129,101 @@ mod tests {
             default_ttl: Some(Duration::from_secs(60)),
             ..Default::default()
         });
+        // An op is observed when it moved the latency histogram.
         let reads = |op: &dyn Fn()| {
-            let before = CLOCK_READS.with(Cell::get);
+            let before = (CLOCK_READS.with(Cell::get), store.total_stats().latency.count());
             op();
-            CLOCK_READS.with(Cell::get) - before
+            let observed = store.total_stats().latency.count() > before.1;
+            (CLOCK_READS.with(Cell::get) - before.0, observed)
         };
-        for k in 0..8u64 {
-            assert_eq!(reads(&|| drop(store.put(k, &[1; 64]))), 3, "put {k}");
+        let mut seen = [0u32; 2];
+        for k in 0..64u64 {
+            let ops: [(&str, &dyn Fn()); 3] = [
+                ("put", &|| drop(store.put(k, &[1; 64]))),
+                ("get", &|| drop(store.get(k))),
+                ("remove", &|| drop(store.remove(k.saturating_sub(8)))),
+            ];
+            for (name, op) in ops {
+                let (n, observed) = reads(op);
+                assert_eq!(n, if observed { 3 } else { 1 }, "{name} {k} (observed: {observed})");
+                seen[usize::from(observed)] += 1;
+            }
         }
         assert!(store.total_stats().evictions > 0, "test premise: puts evicted");
-        assert_eq!(reads(&|| drop(store.get(7))), 3);
-        assert_eq!(reads(&|| drop(store.remove(7))), 3);
+        assert!(seen[0] > 0 && seen[1] > 0, "both kinds of op ran: {seen:?}");
+    }
+
+    #[test]
+    fn mem_bytes_books_no_lock_time() {
+        let store = PolyStore::new(StoreConfig::default());
+        for k in 0..64u64 {
+            store.put(k, &[7; 40]);
+        }
+        let before = store.total_stats();
+        assert!(store.mem_bytes() > 0);
+        let after = store.total_stats();
+        assert_eq!(after.lock_wait_ns, before.lock_wait_ns);
+        assert_eq!(after.lock_hold_ns, before.lock_hold_ns);
+        assert_eq!(after.latency.count(), before.latency.count());
+    }
+
+    #[test]
+    fn ttl_entries_expire_on_unobserved_ops_after_a_real_sleep() {
+        // Per-put TTLs on a store without a default TTL, then on one with.
+        for default_ttl in [None, Some(Duration::from_secs(3600))] {
+            let store =
+                PolyStore::new(StoreConfig { shards: 4, default_ttl, ..Default::default() });
+            for k in 0..100u64 {
+                store.put(k, b"plain");
+            }
+            for k in 100..1_100u64 {
+                store.put_with_ttl(k, b"brief", Some(Duration::from_millis(20)));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            let before = store.total_stats();
+            for k in 100..1_100u64 {
+                assert_eq!(store.get(k), None, "TTL'd key {k} (default TTL {default_ttl:?})");
+            }
+            let d = store.total_stats().delta(&before);
+            assert!(
+                d.latency.count() / SKETCH_SAMPLE < 500,
+                "test premise: most gets were unobserved ({} observed)",
+                d.latency.count() / SKETCH_SAMPLE
+            );
+            assert_eq!(store.total_stats().expired, 1_000);
+            for k in 0..100u64 {
+                assert_eq!(store.get(k).as_deref(), Some(&b"plain"[..]), "plain key {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_estimates_track_exact_counts_under_a_periodic_pattern() {
+        // Key X on the first op of every 8, key Y on the other 7: a gate
+        // that observed every 8th op would see only X.
+        let store = PolyStore::new(StoreConfig { shards: 1, ..Default::default() });
+        let (x, y) = (1u64, 2u64);
+        let (mut gets, mut puts) = (0u64, 0u64);
+        for i in 0..80_000u64 {
+            let (key, put) = if i % 8 == 0 { (x, (i / 8) % 2 == 0) } else { (y, i % 8 == 1) };
+            if put {
+                store.put(key, b"v");
+                puts += 1;
+            } else {
+                assert!(store.get(key).is_some(), "op {i}: key {key} was put before");
+                gets += 1;
+            }
+        }
+        let t = store.total_stats();
+        assert_eq!((t.gets, t.get_hits, t.puts, t.removes), (gets, gets, puts, 0));
+        let ops = t.point_ops() as f64;
+        let timed = t.latency.count() as f64;
+        assert!((timed - ops).abs() < 0.05 * ops, "latency count {timed} vs {ops} ops");
+        assert!(t.lock_hold_ns > 0);
+        for (key, touches) in [(x, 10_000.0), (y, 70_000.0)] {
+            let est = t.top_keys.iter().find(|hk| hk.key == key).map_or(0, |hk| hk.count) as f64;
+            assert!((est - touches).abs() < 0.5 * touches, "key {key}: {est} vs {touches}");
+        }
     }
 
     #[test]
