@@ -14,7 +14,7 @@ use std::io::Write;
 use std::process::exit;
 use std::time::Duration;
 
-use poly_bench::horizon;
+use poly_bench::{horizon, parse_duration};
 use poly_cap::FreqPolicy;
 use poly_locks_sim::LockKind;
 use poly_scenarios::{
@@ -77,23 +77,6 @@ struct Options {
     timeline: Option<String>,
     scenarios: Option<Vec<String>>,
     workers: Option<usize>,
-}
-
-/// Parses `50ms`, `1s`, `500us`; a bare number means milliseconds.
-/// Mirrors the `store` CLI so both sweeps speak the same durations.
-fn parse_duration(s: &str) -> Option<Duration> {
-    let (digits, unit) = match s.find(|c: char| !c.is_ascii_digit()) {
-        Some(i) => s.split_at(i),
-        None => (s, "ms"),
-    };
-    let n: u64 = digits.parse().ok()?;
-    let d = match unit {
-        "us" | "µs" => Duration::from_micros(n),
-        "ms" => Duration::from_millis(n),
-        "s" => Duration::from_secs(n),
-        _ => return None,
-    };
-    (!d.is_zero()).then_some(d)
 }
 
 fn fail(msg: String) -> ! {

@@ -24,11 +24,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use poly_bench::parse_duration;
 use poly_cap::{CalibrationTable, CapGuard, CpuCap, FreqPolicy};
 use poly_locks_sim::LockKind;
 use poly_meter::{EnergySource, RaplSampler};
 use poly_net::proto::WireStats;
-use poly_net::{Arch, NetClient, NetConn, NetServer, ServerConfig};
+use poly_net::{Arch, NetClient, NetConn, NetServer};
 use poly_report::columns::STORE_CELL;
 use poly_report::Value;
 use poly_scenarios::{parse_lock, Registry, SinkFormat, WorkloadSpec};
@@ -234,23 +235,6 @@ fn parse_bytes(s: &str) -> Option<u64> {
     };
     let n: u64 = digits.parse().ok()?;
     n.checked_shl(shift).filter(|&b| b > 0)
-}
-
-/// Parses a human duration: `50ms`, `1s`, `500us`, or a bare number of
-/// milliseconds.
-fn parse_duration(s: &str) -> Option<Duration> {
-    let (digits, unit) = match s.find(|c: char| !c.is_ascii_digit()) {
-        Some(i) => s.split_at(i),
-        None => (s, "ms"),
-    };
-    let n: u64 = digits.parse().ok()?;
-    let d = match unit {
-        "us" | "µs" => Duration::from_micros(n),
-        "ms" => Duration::from_millis(n),
-        "s" => Duration::from_secs(n),
-        _ => return None,
-    };
-    (!d.is_zero()).then_some(d)
 }
 
 fn default_ops() -> u64 {
@@ -706,7 +690,6 @@ fn connect_loopback(
         }
         let bound = NetServer::builder("127.0.0.1:0")
             .architecture(arch)
-            .config(ServerConfig::default())
             .metered(sampler.cloned())
             .serve(Arc::clone(store));
         match bound {
@@ -991,10 +974,8 @@ fn cmd_serve(opts: &Options) {
             freq_applied.then_some(freq_khz).flatten(),
         )
     });
-    let mut builder = NetServer::builder(opts.addr.as_str())
-        .architecture(arch)
-        .config(ServerConfig::default())
-        .metered(sampler.clone());
+    let mut builder =
+        NetServer::builder(opts.addr.as_str()).architecture(arch).metered(sampler.clone());
     if let Some(c) = &collector {
         // One log feeds the STATS window (`store top`) and its heat
         // window (`store heat`).
@@ -1609,16 +1590,5 @@ mod tests {
         assert_eq!(parse_bytes("0"), None);
         assert_eq!(parse_bytes("lots"), None);
         assert_eq!(parse_bytes("4t"), None);
-    }
-
-    #[test]
-    fn durations_parse_like_humans_write_them() {
-        assert_eq!(parse_duration("50ms"), Some(Duration::from_millis(50)));
-        assert_eq!(parse_duration("1s"), Some(Duration::from_secs(1)));
-        assert_eq!(parse_duration("500us"), Some(Duration::from_micros(500)));
-        assert_eq!(parse_duration("250"), Some(Duration::from_millis(250)));
-        assert_eq!(parse_duration("0ms"), None);
-        assert_eq!(parse_duration("fast"), None);
-        assert_eq!(parse_duration("10m"), None);
     }
 }

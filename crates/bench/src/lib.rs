@@ -16,6 +16,8 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::time::Duration;
+
 use poly_locks_sim::{Dist, LockKind, LockParams, LockStress, LockStressConfig, SimLock};
 use poly_sim::{
     Cycles, MachineConfig, Op, OpResult, PinPolicy, Program, RunSpec, SimBuilder, SimReport,
@@ -203,9 +205,37 @@ pub fn banner(id: &str, what: &str) {
     println!("(simulated 2-socket Xeon, {} cycles measured)\n", horizon().cycles);
 }
 
+/// Parses a human duration, as both sweep CLIs take them: `50ms`, `1s`,
+/// `500us`, or a bare number of milliseconds. Zero is refused.
+pub fn parse_duration(s: &str) -> Option<Duration> {
+    let (digits, unit) = match s.find(|c: char| !c.is_ascii_digit()) {
+        Some(i) => s.split_at(i),
+        None => (s, "ms"),
+    };
+    let n: u64 = digits.parse().ok()?;
+    let d = match unit {
+        "us" | "µs" => Duration::from_micros(n),
+        "ms" => Duration::from_millis(n),
+        "s" => Duration::from_secs(n),
+        _ => return None,
+    };
+    (!d.is_zero()).then_some(d)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn durations_parse_like_humans_write_them() {
+        assert_eq!(parse_duration("50ms"), Some(Duration::from_millis(50)));
+        assert_eq!(parse_duration("1s"), Some(Duration::from_secs(1)));
+        assert_eq!(parse_duration("500us"), Some(Duration::from_micros(500)));
+        assert_eq!(parse_duration("250"), Some(Duration::from_millis(250)));
+        assert_eq!(parse_duration("0ms"), None);
+        assert_eq!(parse_duration("fast"), None);
+        assert_eq!(parse_duration("10m"), None);
+    }
 
     #[test]
     fn table_renders_markdown() {

@@ -167,8 +167,8 @@ pub struct LockParams {
     pub mutex: MutexParams,
     /// MUTEXEE configuration.
     pub mutexee: MutexeeParams,
-    /// Fast-path instruction overhead; `None` uses
-    /// [`PathOverhead::default_for`] the algorithm.
+    /// Fast-path instruction overhead; `None` uses the algorithm's
+    /// calibrated default.
     pub overhead: Option<PathOverhead>,
 }
 

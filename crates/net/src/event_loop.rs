@@ -10,13 +10,10 @@
 //! rather than burning a blocked thread per idle connection, which is
 //! what makes the architecture an energy axis worth sweeping.
 //!
-//! Pipelining is where the loop earns its keep. A readiness burst often
-//! drains several request frames from one socket at once; the loop
-//! decodes them all, then applies any run of two or more contiguous
-//! `PUTV`s as a single [`WriteBatch`] — one lock acquisition per shard
-//! instead of one per PUT. Per the pipelining rules (see
-//! [`crate::proto`]), every PUT in a coalesced run is answered
-//! `ValueV(None)`: batch application does not observe previous values.
+//! A readiness burst often drains several pipelined request frames from
+//! one socket at once; each is answered in arrival order through the
+//! same per-frame path the threads server uses
+//! ([`crate::server::answer`]), into the connection's outbound buffer.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -24,16 +21,14 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use poly_store::WriteBatch;
-
 use crate::epoll::{Epoll, Readiness, EPOLLIN, EPOLLOUT};
-use crate::proto::{write_frame, FrameDecoder, Request, Response};
-use crate::server::{execute, Inner};
+use crate::proto::{FrameDecoder, Response};
+use crate::server::{answer, reply, Inner};
 
 /// Token reserved for the listening socket.
 const LISTENER: u64 = 0;
 
-/// Outbound bytes buffered per connection before the loop stops decoding
+/// Outbound bytes buffered per connection before the loop stops reading
 /// its requests until a flush drains it — a slow reader must not balloon
 /// server memory.
 const MAX_OUTBUF: usize = 8 << 20;
@@ -94,8 +89,10 @@ pub(crate) fn run(listener: TcpListener, inner: &Arc<Inner>) {
                 Some(conn) => {
                     let alive = service(conn, ev, inner);
                     if alive {
-                        // Re-arm: write interest only while bytes queue.
-                        let want = if conn.closing {
+                        // Re-arm: write interest only while bytes queue,
+                        // and no read interest while the loop would not
+                        // read (level-triggered EPOLLIN would spin).
+                        let want = if conn.closing || conn.pending_out() > MAX_OUTBUF {
                             EPOLLOUT
                         } else if conn.pending_out() > 0 {
                             EPOLLIN | EPOLLOUT
@@ -186,8 +183,8 @@ fn service(conn: &mut Conn, ev: Readiness, inner: &Inner) -> bool {
     !(conn.closing && conn.pending_out() == 0)
 }
 
-/// Drains the socket into the decoder, executes every complete request,
-/// and queues the responses. Returns false on EOF or socket error.
+/// Drains the socket into the decoder and answers every complete
+/// request. Returns false on EOF or socket error.
 fn read_and_respond(conn: &mut Conn, inner: &Inner) -> bool {
     let mut scratch = [0u8; 16 * 1024];
     loop {
@@ -199,87 +196,32 @@ fn read_and_respond(conn: &mut Conn, inner: &Inner) -> bool {
         match conn.stream.read(&mut scratch) {
             Ok(0) => return false,
             Ok(n) => conn.dec.push(&scratch[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return false,
         }
-        // Decode as we go so a pipelined burst larger than the scratch
-        // buffer still coalesces within each drained chunk.
-        if !drain_frames(conn, inner) {
-            return true; // framing lost; closing is set, flush will end it
-        }
-    }
-    true
-}
-
-/// Pops every complete frame out of the decoder and answers it. Returns
-/// false (and marks the connection closing) when framing is lost.
-fn drain_frames(conn: &mut Conn, inner: &Inner) -> bool {
-    let mut requests: Vec<Request> = Vec::new();
-    loop {
-        match conn.dec.next_frame() {
-            Ok(Some(body)) => {
-                inner.counters.frames.fetch_add(1, Ordering::Relaxed);
-                inner.counters.bytes_in.fetch_add(body.len() as u64, Ordering::Relaxed);
-                match Request::decode(&body) {
-                    Ok(req) => requests.push(req),
-                    Err(e) => {
-                        // Rule 3: a malformed body gets an error in its
-                        // FIFO slot; the connection lives on.
-                        respond(conn, inner, &requests);
-                        requests = Vec::new();
-                        queue(conn, inner, &Response::Error(e.to_string()));
+        // Answer as we go, so the cap above is checked between chunks
+        // of a burst larger than the scratch buffer. A `Vec` sink takes
+        // every frame `answer` makes; were one refused, the connection
+        // would go, not the loop.
+        loop {
+            match conn.dec.next_frame() {
+                Ok(Some(body)) => {
+                    if answer(&body, inner, &mut conn.out).is_err() {
+                        return false;
                     }
                 }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                // An oversized length prefix means the byte stream can
-                // no longer be framed: answer, then close after flush.
-                respond(conn, inner, &requests);
-                queue(conn, inner, &Response::Error(e.to_string()));
-                conn.closing = true;
-                return false;
-            }
-        }
-    }
-    respond(conn, inner, &requests);
-    true
-}
-
-/// Answers a decoded burst in FIFO order, coalescing every run of two or
-/// more contiguous PUTVs into one [`WriteBatch`]. Each PUTV in the run is
-/// still answered in its own frame.
-fn respond(conn: &mut Conn, inner: &Inner, requests: &[Request]) {
-    let mut i = 0;
-    while i < requests.len() {
-        let run = requests[i..].iter().take_while(|r| matches!(r, Request::PutV(_, _))).count();
-        if run >= 2 {
-            let mut batch = WriteBatch::with_capacity(run);
-            for req in &requests[i..i + run] {
-                if let Request::PutV(k, v) = req {
-                    batch.put(*k, v.clone());
+                Ok(None) => break,
+                Err(e) => {
+                    // An oversized length prefix means the byte stream
+                    // can no longer be framed: answer, then close after
+                    // flush.
+                    conn.closing = true;
+                    return reply(&Response::Error(e.to_string()), inner, &mut conn.out).is_ok();
                 }
             }
-            inner.store.apply(&batch);
-            inner.counters.puts.fetch_add(run as u64, Ordering::Relaxed);
-            for _ in 0..run {
-                queue(conn, inner, &Response::ValueV(None));
-            }
-            i += run;
-        } else {
-            queue(conn, inner, &execute(&requests[i], inner));
-            i += 1;
         }
     }
-}
-
-fn queue(conn: &mut Conn, inner: &Inner, resp: &Response) {
-    let body = resp.encode();
-    inner.counters.bytes_out.fetch_add(body.len() as u64, Ordering::Relaxed);
-    // Vec<u8> is an infallible Write sink and responses are bounded well
-    // under MAX_FRAME, so this cannot fail.
-    write_frame(&mut conn.out, &body).expect("buffering a response frame");
 }
 
 /// Pushes queued bytes at the socket until done or `WouldBlock`.

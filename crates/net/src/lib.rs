@@ -8,16 +8,17 @@
 //! * [`proto`] — a compact length-prefixed binary protocol (byte-valued
 //!   GETV/PUTV/REMOVEV/BATCHV, SCAN, STATS and EVENTS over little-endian
 //!   frames), with an incremental [`proto::FrameDecoder`] and pipelining
-//!   rules (FIFO per connection, contiguous-PUT coalescing);
+//!   rules (FIFO per connection, errors answered in their slot);
 //! * [`epoll`] — the no-dependency syscall bindings under the readiness
 //!   server;
 //! * [`NetServer`] — one [`poly_store::PolyStore`] behind either
 //!   architecture ([`Arch`]): `threads`, a blocking accept loop with one
 //!   worker per connection (capped by [`ServerConfig::max_conns`]), or
 //!   `epoll`, a single readiness loop multiplexing thousands of
-//!   connections; both share graceful shutdown and per-connection
-//!   op/byte counters ([`NetStatsSnapshot`]), and both are configured
-//!   through [`NetServer::builder`];
+//!   connections; both answer every request frame through one path and
+//!   share graceful shutdown and the connection, frame and byte counters
+//!   ([`NetStatsSnapshot`]), and both are configured through
+//!   [`NetServer::builder`];
 //! * [`NetClient`] — a connection-pooled client implementing
 //!   [`poly_store::KvService`], so `poly_store::run_load_on` paces the
 //!   same open-loop kv scenarios over TCP that it runs in-process; with
@@ -113,11 +114,10 @@ mod tests {
         assert_eq!(conn.put_bytes(3, b"").unwrap(), None);
         assert_eq!(conn.get_bytes(3).unwrap(), Some(Vec::new()));
         drop(s);
+        let ops = server.store().total_stats();
+        assert_eq!((ops.gets, ops.puts, ops.removes), (4, 3, 1));
         let net = server.net_stats();
-        assert_eq!(net.gets, 4);
-        assert_eq!(net.puts, 3);
-        assert_eq!(net.removes, 1);
-        assert!(net.frames >= 9, "stats probe + 8 point ops");
+        assert_eq!(net.frames, 9, "stats probe + 8 point ops");
         assert!(net.bytes_in > 0 && net.bytes_out > 0);
     }
 
@@ -184,7 +184,7 @@ mod tests {
         assert_eq!(r.ops, 200);
         assert_eq!(r.request_latency.count(), 200);
         assert!(r.store_stats.batches > 0, "batches must ship as BATCHV frames");
-        assert!(server.net_stats().batches > 0);
+        assert!(server.store().total_stats().batches > 0);
     }
 
     #[test]
@@ -289,8 +289,8 @@ mod tests {
         log.push(tick(4));
         let ws = session.conn_mut().stats().unwrap();
         assert_eq!((ws.window.map(|w| w.window), ws.heat.map(|h| h.window)), (Some(4), Some(4)));
-        // Each exchange counted as a stats request.
-        assert!(server.net_stats().stats_reqs >= 3, "probe + two stats");
+        // Each exchange crossed the wire as one frame.
+        assert_eq!(server.net_stats().frames, 3, "probe + two stats");
     }
 
     #[test]
@@ -395,9 +395,9 @@ mod tests {
         let ws = conn.stats().unwrap();
         assert_eq!(ws.shards, 4);
         drop(s);
-        let net = server.net_stats();
-        assert!(net.frames >= 8);
-        assert_eq!(net.batches, 1);
+        assert_eq!(server.net_stats().frames, 8, "stats probe + 7 requests");
+        let ops = server.store().total_stats();
+        assert_eq!((ops.puts, ops.removes), (52, 1), "2 PUTVs + one BATCHV of 50");
     }
 
     #[test]
@@ -465,31 +465,88 @@ mod tests {
     }
 
     #[test]
-    fn epoll_coalesces_contiguous_pipelined_puts() {
-        use poly_store::{PipeOp, Submitted};
-        let (server, client) = serve_arch(LockKind::Mutexee, 2, Arch::Epoll);
-        let client = client.with_pipeline(1, 8);
-        let mut s = client.session().unwrap();
-        // Seed a previous value so an uncoalesced PUT WOULD have returned
-        // Some(…) — the coalesced path must report None instead.
-        assert_eq!(s.put(7, &70u64.to_le_bytes()), None);
-        let base_batches = server.store().total_stats().batches;
-        for i in 0..4u64 {
-            let sub = s.submit(PipeOp::Put(7, (700 + i).to_le_bytes().to_vec()));
-            assert!(matches!(sub, Submitted::Queued(_)));
+    fn architectures_answer_one_burst_byte_for_byte() {
+        use crate::proto::{read_frame, write_frame, Response, MAX_FRAME};
+        use std::io::Write;
+
+        let key = 7u64;
+        let mut requests: Vec<Request> =
+            (0..4u64).map(|i| Request::PutV(key, (700 + i).to_le_bytes().to_vec())).collect();
+        requests.extend([
+            Request::GetV(key),
+            Request::RemoveV(key),
+            Request::BatchV(vec![(1, Some(b"one".to_vec())), (2, Some(Vec::new())), (3, None)]),
+            Request::Scan,
+            Request::GetV(key),
+        ]);
+        let mut burst = Vec::new();
+        for req in &requests {
+            write_frame(&mut burst, &req.encode()).unwrap();
         }
-        let replies = s.drain();
-        assert_eq!(replies.len(), 4);
-        for r in &replies {
-            assert_eq!(r.value, None, "coalesced PUTs report no previous value");
+        // An unknown opcode, then a length prefix over MAX_FRAME: framing
+        // is lost there, so the server answers it and closes.
+        write_frame(&mut burst, &[0x7F, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap();
+        burst.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        let streams: Vec<Vec<Vec<u8>>> = Arch::ALL
+            .into_iter()
+            .map(|arch| {
+                let (server, _client) = serve_arch(LockKind::Mutex, 4, arch);
+                server.store().put(key, &70u64.to_le_bytes());
+                let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+                raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                raw.write_all(&burst).unwrap();
+                std::iter::from_fn(|| read_frame(&mut raw).expect("a reply or a clean close"))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(streams[0], streams[1], "threads and epoll must answer the same bytes");
+
+        let replies = &streams[0];
+        assert_eq!(replies.len(), requests.len() + 2, "one reply per request frame");
+        let value = |i: usize| Response::decode(&replies[i], &requests[i]).unwrap();
+        // Contiguous pipelined PUTVs each return the value they replaced,
+        // in arrival order: the FIFO pairing holds on both servers.
+        let previous: Vec<Response> = (0..4).map(value).collect();
+        let expected: Vec<Response> = [70u64, 700, 701, 702]
+            .iter()
+            .map(|v| Response::ValueV(Some(v.to_le_bytes().to_vec())))
+            .collect();
+        assert_eq!(previous, expected);
+        let last = Response::ValueV(Some(703u64.to_le_bytes().to_vec()));
+        assert_eq!(value(4), last, "GETV sees the last PUTV");
+        assert_eq!(value(5), last, "REMOVEV returns it");
+        assert_eq!(value(6), Response::Batch { applied: 3 });
+        assert_eq!(value(7), Response::Scan { count: 2, epoch: 0 });
+        assert_eq!(value(8), Response::ValueV(None), "the removed key misses");
+        let error = |i: usize| match Response::decode(&replies[i], &Request::Scan).unwrap() {
+            Response::Error(msg) => msg,
+            other => panic!("reply {i} is not an error: {other:?}"),
+        };
+        assert!(error(9).contains("unknown opcode 0x7f"), "{}", error(9));
+        assert!(error(10).contains("exceeds MAX_FRAME"), "{}", error(10));
+    }
+
+    #[test]
+    fn oversized_reply_becomes_an_error_in_its_slot() {
+        use crate::proto::MAX_FRAME;
+
+        for arch in Arch::ALL {
+            let (server, client) = serve_arch(LockKind::Mutex, 2, arch);
+            // Put in-process: a request carrying it could not be framed.
+            server.store().put(1, &vec![0xAB; MAX_FRAME]);
+            let mut s = client.session().unwrap();
+            let conn = s.conn_mut();
+            let err = conn.get_bytes(1).expect_err("a reply over MAX_FRAME cannot ship");
+            assert!(err.to_string().contains("MAX_FRAME"), "[{arch}] {err}");
+            // The error took the request's slot: the connection, and the
+            // server, still answer.
+            assert_eq!(conn.put_bytes(2, b"two").unwrap(), None, "[{arch}]");
+            assert_eq!(conn.get_bytes(2).unwrap().as_deref(), Some(&b"two"[..]), "[{arch}]");
+            drop(s);
+            let fresh = NetClient::connect(server.local_addr()).expect("a new connection");
+            let mut s = fresh.session().unwrap();
+            assert_eq!(s.conn_mut().get_bytes(2).unwrap().as_deref(), Some(&b"two"[..]));
         }
-        // The run landed as one store-level batch, and the last write won.
-        assert_eq!(s.get(7), Some(703u64.to_le_bytes().to_vec()));
-        let batches = server.store().total_stats().batches;
-        assert!(batches > base_batches, "4 contiguous PUTs must coalesce into a WriteBatch");
-        drop(s);
-        let net = server.net_stats();
-        assert_eq!(net.puts, 5, "1 blocking + 4 pipelined PUTs counted");
     }
 
     #[test]

@@ -53,26 +53,22 @@
 //! # Pipelining
 //!
 //! A session may write any number of request frames before reading a
-//! reply, under three rules:
+//! reply, under two rules:
 //!
 //! 1. **FIFO per connection.** The server answers requests in arrival
 //!    order, one response frame per request frame, on the same
 //!    connection. Responses are not self-describing
 //!    ([`Response::decode`] needs the request it replies to), so a
 //!    pipelined client keeps its unanswered requests in a FIFO and pairs
-//!    each arriving frame with the queue head.
-//! 2. **Contiguous PUT coalescing.** A server draining a pipelined burst
-//!    may apply a run of two or more *contiguous* `PUTV` requests as one
-//!    `WriteBatch` (one lock acquisition per shard instead of one per
-//!    PUT). Each PUT in the run is still answered with its own reply,
-//!    but the previous-value slot is reported absent — batch application
-//!    does not observe prior values. Clients that need previous values
-//!    either keep the pipeline depth at 1 or separate their PUTs with
-//!    other ops.
-//! 3. **Errors don't desynchronise.** A malformed or unserviceable
-//!    request gets an error response in its FIFO slot; later pipelined
-//!    requests are still answered. Only a framing-layer violation (torn
-//!    or oversized frame) kills the connection.
+//!    each arriving frame with the queue head. A reply depends only on
+//!    its request and the store, never on its pipeline neighbours: a
+//!    `PUTV` always returns the previous value.
+//! 2. **Errors don't desynchronise.** A malformed or unserviceable
+//!    request, or one whose reply would exceed [`MAX_FRAME`], gets an
+//!    error response in its FIFO slot; later pipelined requests are still
+//!    answered. Only a framing-layer violation kills the connection: a
+//!    torn frame closes it, and an oversized length prefix is answered
+//!    with an error frame before the close.
 //!
 //! [`FrameDecoder`] is the incremental framing layer both endpoints use:
 //! bytes go in as they arrive off a nonblocking socket, complete frames

@@ -5,9 +5,10 @@
 //! connection, capped at [`ServerConfig::max_conns`]. [`Arch::Epoll`] is
 //! a single readiness loop over nonblocking sockets (see
 //! [`crate::event_loop`]) that scales to thousands of connections and
-//! drains pipelined bursts. Both share the same request execution path,
-//! counters, graceful shutdown, and wire protocol; a client cannot tell
-//! them apart except by load behaviour.
+//! drains pipelined bursts. Both answer every request frame through one
+//! function ([`answer`]) and share counters, graceful shutdown and the
+//! wire protocol; a client cannot tell them apart except by load
+//! behaviour.
 //!
 //! Construction goes through [`NetServer::builder`].
 
@@ -22,7 +23,7 @@ use poly_meter::RaplSampler;
 use poly_store::{PolyStore, WriteBatch};
 use poly_trace::WindowLog;
 
-use crate::proto::{read_frame, write_frame, Request, Response, WireStats};
+use crate::proto::{read_frame, write_frame, Request, Response, WireStats, MAX_FRAME};
 
 /// Server architecture: how connections map onto threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,8 +34,8 @@ pub enum Arch {
     Threads,
     /// One event-loop thread multiplexing every connection over
     /// `epoll(7)` readiness, with per-connection buffers and incremental
-    /// frame decoding. Sustains thousands of connections and coalesces
-    /// pipelined contiguous PUTs into write batches.
+    /// frame decoding. Sustains thousands of connections and drains a
+    /// pipelined burst in one readiness pass.
     Epoll,
 }
 
@@ -99,18 +100,6 @@ pub struct NetStatsSnapshot {
     pub bytes_in: u64,
     /// Response bytes written (bodies, excluding length prefixes).
     pub bytes_out: u64,
-    /// GET requests served.
-    pub gets: u64,
-    /// PUT requests served.
-    pub puts: u64,
-    /// REMOVE requests served.
-    pub removes: u64,
-    /// SCAN requests served.
-    pub scans: u64,
-    /// BATCH requests served.
-    pub batches: u64,
-    /// STATS requests served.
-    pub stats_reqs: u64,
 }
 
 #[derive(Default)]
@@ -121,12 +110,6 @@ pub(crate) struct NetCounters {
     pub(crate) frames: AtomicU64,
     pub(crate) bytes_in: AtomicU64,
     pub(crate) bytes_out: AtomicU64,
-    pub(crate) gets: AtomicU64,
-    pub(crate) puts: AtomicU64,
-    pub(crate) removes: AtomicU64,
-    pub(crate) scans: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) stats_reqs: AtomicU64,
 }
 
 impl NetCounters {
@@ -138,12 +121,6 @@ impl NetCounters {
             frames: self.frames.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            removes: self.removes.load(Ordering::Relaxed),
-            scans: self.scans.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            stats_reqs: self.stats_reqs.load(Ordering::Relaxed),
         }
     }
 }
@@ -468,17 +445,15 @@ fn serve_connection(stream: TcpStream, inner: &Inner) -> io::Result<()> {
             Ok(Some(body)) => body,
             Ok(None) => return Ok(()), // client hung up cleanly
             Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => return Ok(()), // shutdown
-            Err(e) => return Err(e),   // torn frame or dead socket
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                // An oversized length prefix: framing is lost, so answer,
+                // then close.
+                reply(&Response::Error(e.to_string()), inner, &mut writer)?;
+                return writer.flush();
+            }
+            Err(e) => return Err(e), // torn frame or dead socket
         };
-        inner.counters.frames.fetch_add(1, Ordering::Relaxed);
-        inner.counters.bytes_in.fetch_add(body.len() as u64, Ordering::Relaxed);
-        let response = match Request::decode(&body) {
-            Ok(req) => execute(&req, inner),
-            Err(e) => Response::Error(e.to_string()),
-        };
-        let out = response.encode();
-        inner.counters.bytes_out.fetch_add(out.len() as u64, Ordering::Relaxed);
-        write_frame(&mut writer, &out)?;
+        answer(&body, inner, &mut writer)?;
         writer.flush()?;
         // Re-check between requests too: a client with back-to-back
         // frames in flight never blocks in read, so this is the only
@@ -489,47 +464,58 @@ fn serve_connection(stream: TcpStream, inner: &Inner) -> io::Result<()> {
     }
 }
 
-pub(crate) fn execute(req: &Request, inner: &Inner) -> Response {
+/// Answers one request frame into `sink`, the one path both
+/// architectures serve through: counts the frame and its bytes, decodes
+/// it, runs it, and frames the reply with [`reply`]. A malformed body is
+/// answered with an error in the request's FIFO slot (protocol rule 2).
+pub(crate) fn answer<W: Write>(body: &[u8], inner: &Inner, sink: &mut W) -> io::Result<()> {
+    inner.counters.frames.fetch_add(1, Ordering::Relaxed);
+    inner.counters.bytes_in.fetch_add(body.len() as u64, Ordering::Relaxed);
+    let response = match Request::decode(body) {
+        Ok(req) => execute(req, inner),
+        Err(e) => Response::Error(e.to_string()),
+    };
+    reply(&response, inner, sink)
+}
+
+/// Frames `response` into `sink` and counts its bytes. A reply too large
+/// to frame goes out as an error that names [`MAX_FRAME`], in its place.
+/// Fails only when the sink does.
+pub(crate) fn reply<W: Write>(response: &Response, inner: &Inner, sink: &mut W) -> io::Result<()> {
+    let mut out = response.encode();
+    if out.len() > MAX_FRAME {
+        let msg = format!("reply of {} bytes exceeds MAX_FRAME ({MAX_FRAME})", out.len());
+        out = Response::Error(msg).encode();
+    }
+    inner.counters.bytes_out.fetch_add(out.len() as u64, Ordering::Relaxed);
+    write_frame(sink, &out)
+}
+
+fn execute(req: Request, inner: &Inner) -> Response {
     let store = &inner.store;
-    let c = &inner.counters;
     match req {
-        Request::GetV(k) => {
-            c.gets.fetch_add(1, Ordering::Relaxed);
-            Response::ValueV(store.get(*k))
-        }
-        Request::PutV(k, v) => {
-            c.puts.fetch_add(1, Ordering::Relaxed);
-            Response::ValueV(store.put(*k, v))
-        }
-        Request::RemoveV(k) => {
-            c.removes.fetch_add(1, Ordering::Relaxed);
-            Response::ValueV(store.remove(*k))
-        }
+        Request::GetV(k) => Response::ValueV(store.get(k)),
+        Request::PutV(k, v) => Response::ValueV(store.put(k, &v)),
+        Request::RemoveV(k) => Response::ValueV(store.remove(k)),
         Request::Scan => {
-            c.scans.fetch_add(1, Ordering::Relaxed);
             let mut count = 0u64;
             let epoch = store.scan(|_, _| count += 1);
             Response::Scan { count, epoch }
         }
         Request::BatchV(ops) => {
-            c.batches.fetch_add(1, Ordering::Relaxed);
             let mut batch = WriteBatch::with_capacity(ops.len());
             for (key, val) in ops {
                 match val {
-                    Some(v) => batch.put(*key, v.clone()),
-                    None => batch.remove(*key),
+                    Some(v) => batch.put(key, v),
+                    None => batch.remove(key),
                 }
             }
             store.apply(&batch);
-            Response::Batch { applied: ops.len() as u32 }
+            Response::Batch { applied: batch.len() as u32 }
         }
-        Request::Stats => {
-            c.stats_reqs.fetch_add(1, Ordering::Relaxed);
-            Response::Stats(Box::new(wire_stats(inner)))
-        }
+        Request::Stats => Response::Stats(Box::new(wire_stats(inner))),
         Request::Events { since_seq } => {
-            c.stats_reqs.fetch_add(1, Ordering::Relaxed);
-            Response::Events(poly_obs::journal().tail(*since_seq, EVENTS_PER_REPLY))
+            Response::Events(poly_obs::journal().tail(since_seq, EVENTS_PER_REPLY))
         }
     }
 }

@@ -13,10 +13,10 @@
 //!
 //! Three registries are canonical (see [`columns`]):
 //!
-//! * [`columns::store_cell`] — the native `store` CLI's sweep cell;
-//! * [`columns::scenario_cell`] — the simulated sweep cell
+//! * [`columns::STORE_CELL`] — the native `store` CLI's sweep cell;
+//! * [`columns::SCENARIO_CELL`] — the simulated sweep cell
 //!   (`poly-scenarios`);
-//! * [`columns::timeline`] — one `poly-trace` window of the
+//! * [`columns::TIMELINE`] — one `poly-trace` window of the
 //!   `*.timeline.jsonl` sink, shared by the native and simulated
 //!   sweeps.
 //!

@@ -75,9 +75,8 @@ pub struct Ticket(pub u64);
 pub struct Reply {
     /// The submission this answers.
     pub ticket: Ticket,
-    /// The op's value slot (found/previous value; pipelined PUTs served
-    /// from a coalesced batch report `None` — batch application does not
-    /// observe previous values).
+    /// The op's value slot: the found value of a get, the previous
+    /// value of a put or remove.
     pub value: Option<Vec<u8>>,
 }
 
@@ -256,8 +255,7 @@ pub struct LoadSpec {
     /// (the default) is strict request/response on every backend; values
     /// above 1 overlap requests where the connection supports it and
     /// fall back to sequential execution where it doesn't. Depth > 1
-    /// disables client-side write batching — the pipeline replaces it
-    /// (a v2 server coalesces contiguous pipelined PUTs itself).
+    /// disables client-side write batching — the pipeline replaces it.
     pub depth: usize,
 }
 
