@@ -21,9 +21,13 @@ use poly_store::{
     KvConnection, KvService, PipeOp, Reply, StatsSnapshot, Submitted, Ticket, WriteBatch,
 };
 
-use crate::proto::{read_frame, write_frame, Request, Response, WireStats};
+use crate::proto::{read_frame, read_value_reply, Request, RequestRef, Response, WireStats};
 
 /// One framed TCP connection to a [`crate::NetServer`].
+///
+/// Request frames are written straight into a buffered writer (a PUTV's
+/// value is not copied first), and the value of a point reply is read
+/// straight into the `Vec` handed back.
 pub struct NetConn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -39,58 +43,51 @@ impl NetConn {
 
     /// Sends one request and waits for its response.
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
-        write_frame(&mut self.writer, &req.encode())?;
+        self.exchange(&RequestRef::from(req))
+    }
+
+    fn exchange(&mut self, req: &RequestRef<'_>) -> io::Result<Response> {
+        req.write_frame(&mut self.writer)?;
         self.writer.flush()?;
-        self.recv(req)
+        let body = read_frame(&mut self.reader)?.ok_or_else(server_closed)?;
+        Response::decode_for(&body, req)
     }
 
-    /// Queues one request frame *without flushing* — the pipelined send
-    /// half. Pair each `send` with a later [`NetConn::recv`] in the same
-    /// order (the protocol's FIFO rule), with a [`NetConn::flush`] in
-    /// between.
-    pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        write_frame(&mut self.writer, &req.encode())
+    /// Reads the next reply to a point request, its value straight off
+    /// the socket into the `Vec` returned.
+    fn recv_value(&mut self) -> io::Result<Response> {
+        read_value_reply(&mut self.reader)?.ok_or_else(server_closed)
     }
 
-    /// Pushes every queued request frame at the socket.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-
-    /// Reads the next response frame and decodes it against `req` — the
-    /// pipelined receive half.
-    pub fn recv(&mut self, req: &Request) -> io::Result<Response> {
-        let body = read_frame(&mut self.reader)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
-        Response::decode(&body, req)
-    }
-
-    fn expect_value(&mut self, req: &Request) -> io::Result<Option<Vec<u8>>> {
-        match self.request(req)? {
+    /// Sends one point request and waits for its value.
+    fn value_request(&mut self, req: RequestRef<'_>) -> io::Result<Option<Vec<u8>>> {
+        req.write_frame(&mut self.writer)?;
+        self.writer.flush()?;
+        match self.recv_value()? {
             Response::ValueV(v) => Ok(v),
-            other => Err(unexpected(req, &other)),
+            other => Err(unexpected(&req, &other)),
         }
     }
 
     /// Point lookup of the full byte value.
     pub fn get_bytes(&mut self, key: u64) -> io::Result<Option<Vec<u8>>> {
-        self.expect_value(&Request::GetV(key))
+        self.value_request(RequestRef::GetV(key))
     }
 
     /// Point insert/update of a byte value; returns the previous value.
     pub fn put_bytes(&mut self, key: u64, value: &[u8]) -> io::Result<Option<Vec<u8>>> {
-        self.expect_value(&Request::PutV(key, value.to_vec()))
+        self.value_request(RequestRef::PutV(key, value))
     }
 
     /// Point deletion returning the full byte value.
     pub fn remove_bytes(&mut self, key: u64) -> io::Result<Option<Vec<u8>>> {
-        self.expect_value(&Request::RemoveV(key))
+        self.value_request(RequestRef::RemoveV(key))
     }
 
     /// Server-side scan; returns `(entries, epoch)`.
     pub fn scan(&mut self) -> io::Result<(u64, u64)> {
-        let req = Request::Scan;
-        match self.request(&req)? {
+        let req = RequestRef::Scan;
+        match self.exchange(&req)? {
             Response::Scan { count, epoch } => Ok((count, epoch)),
             other => Err(unexpected(&req, &other)),
         }
@@ -98,8 +95,8 @@ impl NetConn {
 
     /// Ships a write batch; returns the number of writes applied.
     pub fn apply(&mut self, batch: &WriteBatch) -> io::Result<u32> {
-        let req = Request::BatchV(batch.ops().to_vec());
-        match self.request(&req)? {
+        let req = RequestRef::batch(batch.ops());
+        match self.exchange(&req)? {
             Response::Batch { applied } => Ok(applied),
             other => Err(unexpected(&req, &other)),
         }
@@ -109,8 +106,8 @@ impl NetConn {
     /// energy, and latest telemetry and heat windows in one `STATS`
     /// exchange.
     pub fn stats(&mut self) -> io::Result<WireStats> {
-        let req = Request::Stats;
-        match self.request(&req)? {
+        let req = RequestRef::Stats;
+        match self.exchange(&req)? {
             Response::Stats(ws) => Ok(*ws),
             other => Err(unexpected(&req, &other)),
         }
@@ -119,15 +116,21 @@ impl NetConn {
     /// Fetches the server's journal events with `seq >= since_seq` still
     /// in its bounded ring, oldest first.
     pub fn events(&mut self, since_seq: u64) -> io::Result<Vec<poly_obs::Event>> {
-        let req = Request::Events { since_seq };
-        match self.request(&req)? {
+        let req = RequestRef::Events { since_seq };
+        match self.exchange(&req)? {
             Response::Events(events) => Ok(events),
             other => Err(unexpected(&req, &other)),
         }
     }
 }
 
-fn unexpected(req: &Request, resp: &Response) -> io::Error {
+fn server_closed() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "server closed")
+}
+
+/// The error for a reply that is not the one `req` asked for: an error
+/// reply, or one of another kind.
+fn unexpected(req: &impl std::fmt::Debug, resp: &Response) -> io::Error {
     let msg = match resp {
         Response::Error(e) => format!("server error for {req:?}: {e}"),
         other => format!("mismatched response for {req:?}: {other:?}"),
@@ -236,9 +239,9 @@ impl NetClient {
 pub struct PooledConn<'c> {
     conns: Vec<NetConn>,
     /// Unanswered pipelined submissions, in FIFO order: which connection
-    /// carries each one, the request (responses are not self-describing),
-    /// and its ticket.
-    pending: VecDeque<(usize, Request, Ticket)>,
+    /// carries each one, and its ticket. Every one is a point request, so
+    /// every reply is read as one.
+    pending: VecDeque<(usize, Ticket)>,
     /// Replies collected by an internal sync (a blocking call arriving
     /// while submissions were in flight); handed out by the next drain.
     ready: Vec<Reply>,
@@ -254,22 +257,18 @@ impl PooledConn<'_> {
         &mut self.conns[0]
     }
 
-    /// Flushes every connection with queued frames, then collects the
-    /// pending replies in submission order (valid because the server
-    /// answers each connection FIFO).
+    /// Flushes every connection, then collects the pending replies in
+    /// submission order (valid because the server answers each connection
+    /// FIFO). Flushing a connection with nothing queued costs no syscall.
     fn try_collect(&mut self) -> io::Result<Vec<Reply>> {
-        let mut flushed = vec![false; self.conns.len()];
-        for &(idx, _, _) in &self.pending {
-            if !flushed[idx] {
-                self.conns[idx].flush()?;
-                flushed[idx] = true;
-            }
+        for conn in &mut self.conns {
+            conn.writer.flush()?;
         }
         let mut replies = Vec::with_capacity(self.pending.len());
-        while let Some((idx, req, ticket)) = self.pending.pop_front() {
-            let value = match self.conns[idx].recv(&req)? {
+        while let Some((idx, ticket)) = self.pending.pop_front() {
+            let value = match self.conns[idx].recv_value()? {
                 Response::ValueV(v) => v,
-                other => return Err(unexpected(&req, &other)),
+                other => return Err(unexpected(&ticket, &other)),
             };
             replies.push(Reply { ticket, value });
         }
@@ -327,17 +326,17 @@ impl KvConnection for PooledConn<'_> {
     }
 
     fn submit(&mut self, op: PipeOp) -> Submitted {
-        let req = match op {
-            PipeOp::Get(k) => Request::GetV(k),
-            PipeOp::Put(k, v) => Request::PutV(k, v),
-            PipeOp::Remove(k) => Request::RemoveV(k),
+        let req = match &op {
+            PipeOp::Get(k) => RequestRef::GetV(*k),
+            PipeOp::Put(k, v) => RequestRef::PutV(*k, v),
+            PipeOp::Remove(k) => RequestRef::RemoveV(*k),
         };
         let idx = self.next_conn;
         self.next_conn = (self.next_conn + 1) % self.conns.len();
-        self.conns[idx].send(&req).expect("net pipeline send");
+        req.write_frame(&mut self.conns[idx].writer).expect("net pipeline send");
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
-        self.pending.push_back((idx, req, ticket));
+        self.pending.push_back((idx, ticket));
         Submitted::Queued(ticket)
     }
 

@@ -28,8 +28,11 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 /// Peer hangup (always reported, never requested).
 pub const EPOLLHUP: u32 = 0x010;
-/// Peer closed its writing half (`EPOLLRDHUP`); requested explicitly so
-/// half-closed connections surface as readiness instead of silence.
+/// Peer closed its writing half (`EPOLLRDHUP`). Reported when requested;
+/// [`Epoll::add`] and [`Epoll::modify`] do not request it on their own.
+/// With `EPOLLIN` a half-close already reads as EOF, and a loop that has
+/// stopped reading a socket would be woken by this level-triggered bit
+/// on every wait until the peer goes.
 pub const EPOLLRDHUP: u32 = 0x2000;
 
 const EPOLL_CTL_ADD: c_int = 1;
@@ -139,14 +142,14 @@ impl Epoll {
     }
 
     /// Registers `fd` under `token` with the given interest
-    /// (`EPOLLIN`/`EPOLLOUT`; `EPOLLRDHUP` is always added).
+    /// (`EPOLLIN`/`EPOLLOUT`/`EPOLLRDHUP`).
     pub fn add(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_ADD, fd, interest | EPOLLRDHUP, token)
+        self.ctl(EPOLL_CTL_ADD, fd, interest, token)
     }
 
     /// Re-arms `fd` with a new interest set, keeping its token.
     pub fn modify(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, interest | EPOLLRDHUP, token)
+        self.ctl(EPOLL_CTL_MOD, fd, interest, token)
     }
 
     /// Deregisters `fd`.

@@ -7,8 +7,9 @@
 //!
 //! * [`proto`] — a compact length-prefixed binary protocol (byte-valued
 //!   GETV/PUTV/REMOVEV/BATCHV, SCAN, STATS and EVENTS over little-endian
-//!   frames), with an incremental [`proto::FrameDecoder`] and pipelining
-//!   rules (FIFO per connection, errors answered in their slot);
+//!   frames), decoded and framed in place, with an incremental
+//!   [`proto::FrameDecoder`] and pipelining rules (FIFO per connection,
+//!   errors answered in their slot);
 //! * [`epoll`] — the no-dependency syscall bindings under the readiness
 //!   server;
 //! * [`NetServer`] — one [`poly_store::PolyStore`] behind either
@@ -524,6 +525,37 @@ mod tests {
         };
         assert!(error(9).contains("unknown opcode 0x7f"), "{}", error(9));
         assert!(error(10).contains("exceeds MAX_FRAME"), "{}", error(10));
+    }
+
+    #[test]
+    fn a_half_closed_client_gets_every_reply() {
+        use crate::proto::{read_frame, write_frame};
+        use std::io::Write;
+
+        // 16 MiB of replies, more than the sockets absorb and over the
+        // epoll loop's cap, to a client that has already shut its
+        // writing half: EOF ends the requests, not the replies.
+        const GETS: usize = 16;
+        for arch in Arch::ALL {
+            let (server, _client) = serve_arch(LockKind::Mutex, 2, arch);
+            let value = vec![0x3C; 1 << 20];
+            server.store().put(1, &value);
+            let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+            let mut burst = Vec::new();
+            for _ in 0..GETS {
+                write_frame(&mut burst, &Request::GetV(1).encode()).unwrap();
+            }
+            raw.write_all(&burst).unwrap();
+            raw.shutdown(std::net::Shutdown::Write).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            for i in 0..GETS {
+                let body = read_frame(&mut raw).unwrap().unwrap_or_else(|| {
+                    panic!("[{arch}] the server hung up after {i} of {GETS} replies")
+                });
+                assert!(body[6..] == value[..], "[{arch}] reply {i}");
+            }
+            assert_eq!(read_frame(&mut raw).unwrap(), None, "[{arch}] then a clean close");
+        }
     }
 
     #[test]

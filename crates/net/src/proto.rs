@@ -67,13 +67,27 @@
 //!    request, or one whose reply would exceed [`MAX_FRAME`], gets an
 //!    error response in its FIFO slot; later pipelined requests are still
 //!    answered. Only a framing-layer violation kills the connection: a
-//!    torn frame closes it, and an oversized length prefix is answered
-//!    with an error frame before the close.
+//!    torn frame closes it once the replies before it are out, and an
+//!    oversized length prefix is answered with an error frame before the
+//!    close. A peer's EOF ends its requests, not its replies.
 //!
-//! [`FrameDecoder`] is the incremental framing layer both endpoints use:
-//! bytes go in as they arrive off a nonblocking socket, complete frames
-//! come out, and an oversized length prefix is rejected the moment the
-//! 4-byte header is readable — before any body allocation.
+//! [`FrameDecoder`] is the incremental framing layer of the readiness
+//! server: bytes go in as they arrive off a nonblocking socket, complete
+//! frame bodies are lent out of its buffer (no copy), and an oversized
+//! length prefix is rejected the moment the 4-byte header is readable —
+//! before any body allocation.
+//!
+//! # In place
+//!
+//! Each message has one parser and one encoder, and both work in place.
+//! A request is decoded as a `RequestRef` that borrows its frame body
+//! (a PUTV value is never copied out of it). A reply is framed at the
+//! end of the server's outbound buffer, its length prefix written once
+//! the body is in, and a point op's value goes into it straight from the
+//! store. The client writes each request frame straight into its
+//! buffered writer and reads a point reply's value straight into the
+//! `Vec` it returns. The owned [`Request`] and [`Response`] with their
+//! `encode`/`decode` are thin conversions over these forms.
 
 use std::io::{self, Read, Write};
 
@@ -115,6 +129,14 @@ const EVENT_MIN_BYTES: usize = 8 + 8 + 1 + 4 + 4;
 const STATUS_OK: u8 = 0x00;
 const STATUS_ERR: u8 = 0x01;
 
+/// Bytes an ok reply to a point request holds before its value: status,
+/// present flag and value length.
+const VALUE_HEAD: usize = 1 + 1 + 4;
+
+/// Capacity a drained buffer keeps: room for a burst of small frames,
+/// not for the largest frame it ever held.
+pub(crate) const IDLE_CAPACITY: usize = 64 << 10;
+
 /// One client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -139,6 +161,19 @@ pub enum Request {
         /// `seq + 1` to tail incrementally).
         since_seq: u64,
     },
+}
+
+/// A request decoded in place: its values borrow the frame body they
+/// came in. The one form requests are decoded from and encoded to.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum RequestRef<'a> {
+    Scan,
+    Stats,
+    GetV(u64),
+    PutV(u64, &'a [u8]),
+    RemoveV(u64),
+    BatchV(Vec<(u64, Option<&'a [u8]>)>),
+    Events { since_seq: u64 },
 }
 
 /// One server response.
@@ -242,9 +277,14 @@ impl<'a> Cursor<'a> {
         Ok(self.u8()? != 0)
     }
 
-    fn string(&mut self) -> io::Result<String> {
+    /// A length-prefixed byte string (`len u32` + bytes), borrowed.
+    fn bytes(&mut self) -> io::Result<&'a [u8]> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+        self.take(len)
+    }
+
+    fn string(&mut self) -> io::Result<String> {
+        let bytes = self.bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| bad_frame("non-UTF-8 string in frame"))
     }
 
@@ -274,67 +314,47 @@ fn bad_frame(msg: &str) -> io::Error {
 impl Request {
     /// Encodes the request body (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Request::Scan => vec![OP_SCAN],
-            Request::Stats => vec![OP_STATS],
-            Request::GetV(k) => {
-                let mut b = Vec::with_capacity(9);
-                b.push(OP_GET_V);
-                put_u64(&mut b, *k);
-                b
-            }
-            Request::PutV(k, v) => {
-                let mut b = Vec::with_capacity(13 + v.len());
-                b.push(OP_PUT_V);
-                put_u64(&mut b, *k);
-                put_u32(&mut b, v.len() as u32);
-                b.extend_from_slice(v);
-                b
-            }
-            Request::RemoveV(k) => {
-                let mut b = Vec::with_capacity(9);
-                b.push(OP_REMOVE_V);
-                put_u64(&mut b, *k);
-                b
-            }
-            Request::BatchV(ops) => {
-                let bytes: usize =
-                    ops.iter().map(|(_, v)| 9 + v.as_ref().map_or(0, |v| 4 + v.len())).sum();
-                let mut b = Vec::with_capacity(5 + bytes);
-                b.push(OP_BATCH_V);
-                put_u32(&mut b, ops.len() as u32);
-                for (key, val) in ops {
-                    b.push(u8::from(val.is_some()));
-                    put_u64(&mut b, *key);
-                    if let Some(v) = val {
-                        put_u32(&mut b, v.len() as u32);
-                        b.extend_from_slice(v);
-                    }
-                }
-                b
-            }
-            Request::Events { since_seq } => {
-                let mut b = Vec::with_capacity(9);
-                b.push(OP_EVENTS);
-                put_u64(&mut b, *since_seq);
-                b
-            }
-        }
+        let req = RequestRef::from(self);
+        let mut body = Vec::with_capacity(req.body_len());
+        req.write_body(&mut body).expect("writing to a Vec cannot fail");
+        body
     }
 
     /// Decodes one request body.
     pub fn decode(body: &[u8]) -> io::Result<Request> {
+        RequestRef::decode(body).map(RequestRef::into_owned)
+    }
+}
+
+impl<'a> From<&'a Request> for RequestRef<'a> {
+    fn from(req: &'a Request) -> Self {
+        match req {
+            Request::Scan => RequestRef::Scan,
+            Request::Stats => RequestRef::Stats,
+            Request::GetV(k) => RequestRef::GetV(*k),
+            Request::PutV(k, v) => RequestRef::PutV(*k, v),
+            Request::RemoveV(k) => RequestRef::RemoveV(*k),
+            Request::BatchV(ops) => RequestRef::batch(ops),
+            Request::Events { since_seq } => RequestRef::Events { since_seq: *since_seq },
+        }
+    }
+}
+
+impl<'a> RequestRef<'a> {
+    /// A BATCHV of `ops`, borrowing their values.
+    pub(crate) fn batch(ops: &'a [BatchOp]) -> Self {
+        RequestRef::BatchV(ops.iter().map(|(k, v)| (*k, v.as_deref())).collect())
+    }
+
+    /// Decodes one request body in place.
+    pub(crate) fn decode(body: &'a [u8]) -> io::Result<RequestRef<'a>> {
         let mut c = Cursor::new(body);
         let req = match c.u8()? {
-            OP_SCAN => Request::Scan,
-            OP_STATS => Request::Stats,
-            OP_GET_V => Request::GetV(c.u64()?),
-            OP_PUT_V => {
-                let key = c.u64()?;
-                let len = c.u32()? as usize;
-                Request::PutV(key, c.take(len)?.to_vec())
-            }
-            OP_REMOVE_V => Request::RemoveV(c.u64()?),
+            OP_SCAN => RequestRef::Scan,
+            OP_STATS => RequestRef::Stats,
+            OP_GET_V => RequestRef::GetV(c.u64()?),
+            OP_PUT_V => RequestRef::PutV(c.u64()?, c.bytes()?),
+            OP_REMOVE_V => RequestRef::RemoveV(c.u64()?),
             OP_BATCH_V => {
                 let n = c.u32()? as usize;
                 // Every op occupies at least 9 bytes (tag + key): a count
@@ -347,22 +367,91 @@ impl Request {
                 for _ in 0..n {
                     let tag = c.u8()?;
                     let key = c.u64()?;
-                    let val = if tag != 0 {
-                        let len = c.u32()? as usize;
-                        Some(c.take(len)?.to_vec())
-                    } else {
-                        None
-                    };
+                    let val = if tag != 0 { Some(c.bytes()?) } else { None };
                     ops.push((key, val));
                 }
-                Request::BatchV(ops)
+                RequestRef::BatchV(ops)
             }
-            OP_EVENTS => Request::Events { since_seq: c.u64()? },
+            OP_EVENTS => RequestRef::Events { since_seq: c.u64()? },
             op => return Err(bad_frame(&format!("unknown opcode 0x{op:02x}"))),
         };
         c.finish()?;
         Ok(req)
     }
+
+    /// The owned request, its values copied out of the frame.
+    fn into_owned(self) -> Request {
+        match self {
+            RequestRef::Scan => Request::Scan,
+            RequestRef::Stats => Request::Stats,
+            RequestRef::GetV(k) => Request::GetV(k),
+            RequestRef::PutV(k, v) => Request::PutV(k, v.to_vec()),
+            RequestRef::RemoveV(k) => Request::RemoveV(k),
+            RequestRef::BatchV(ops) => {
+                Request::BatchV(ops.into_iter().map(|(k, v)| (k, v.map(<[u8]>::to_vec))).collect())
+            }
+            RequestRef::Events { since_seq } => Request::Events { since_seq },
+        }
+    }
+
+    /// Wire size of the body.
+    fn body_len(&self) -> usize {
+        match self {
+            RequestRef::Scan | RequestRef::Stats => 1,
+            RequestRef::GetV(_) | RequestRef::RemoveV(_) | RequestRef::Events { .. } => 9,
+            RequestRef::PutV(_, v) => 13 + v.len(),
+            RequestRef::BatchV(ops) => {
+                5 + ops.iter().map(|(_, v)| 9 + v.map_or(0, |v| 4 + v.len())).sum::<usize>()
+            }
+        }
+    }
+
+    /// Writes the request body (no length prefix) to `w`, piece by piece.
+    fn write_body<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        match *self {
+            RequestRef::Scan => w.write_all(&[OP_SCAN]),
+            RequestRef::Stats => w.write_all(&[OP_STATS]),
+            RequestRef::GetV(k) => write_tagged(w, OP_GET_V, k),
+            RequestRef::PutV(k, v) => {
+                write_tagged(w, OP_PUT_V, k)?;
+                write_bytes(w, v)
+            }
+            RequestRef::RemoveV(k) => write_tagged(w, OP_REMOVE_V, k),
+            RequestRef::BatchV(ref ops) => {
+                w.write_all(&[OP_BATCH_V])?;
+                w.write_all(&(ops.len() as u32).to_le_bytes())?;
+                for &(key, val) in ops {
+                    write_tagged(w, u8::from(val.is_some()), key)?;
+                    if let Some(v) = val {
+                        write_bytes(w, v)?;
+                    }
+                }
+                Ok(())
+            }
+            RequestRef::Events { since_seq } => write_tagged(w, OP_EVENTS, since_seq),
+        }
+    }
+
+    /// Writes the request as one frame straight into `w`; like
+    /// [`write_frame`], refuses a body over [`MAX_FRAME`] before writing
+    /// anything.
+    pub(crate) fn write_frame<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        write_len(w, self.body_len())?;
+        self.write_body(w)
+    }
+}
+
+/// A one-byte tag (an opcode, or a batch op's put flag) and a `u64`.
+fn write_tagged<W: Write>(w: &mut W, tag: u8, v: u64) -> io::Result<()> {
+    let mut b = [tag; 9];
+    b[1..].copy_from_slice(&v.to_le_bytes());
+    w.write_all(&b)
+}
+
+/// A length-prefixed byte string.
+fn write_bytes<W: Write>(w: &mut W, v: &[u8]) -> io::Result<()> {
+    w.write_all(&(v.len() as u32).to_le_bytes())?;
+    w.write_all(v)
 }
 
 /// Wire index of a lock kind: its position in [`LockKind::ALL`] (stable —
@@ -511,36 +600,18 @@ fn decode_heat(c: &mut Cursor) -> io::Result<HeatSample> {
 impl Response {
     /// Encodes the response body (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
+        let mut body = Vec::with_capacity(self.body_len());
+        self.encode_into(&mut body);
+        body
+    }
+
+    /// Wire size of the body (for `STATS`, an upper bound).
+    fn body_len(&self) -> usize {
         match self {
-            Response::ValueV(v) => {
-                let bytes = v.as_deref().unwrap_or(&[]);
-                let mut b = Vec::with_capacity(6 + bytes.len());
-                b.push(STATUS_OK);
-                b.push(u8::from(v.is_some()));
-                put_u32(&mut b, bytes.len() as u32);
-                b.extend_from_slice(bytes);
-                b
-            }
-            Response::Scan { count, epoch } => {
-                let mut b = Vec::with_capacity(17);
-                b.push(STATUS_OK);
-                put_u64(&mut b, *count);
-                put_u64(&mut b, *epoch);
-                b
-            }
-            Response::Batch { applied } => {
-                let mut b = Vec::with_capacity(5);
-                b.push(STATUS_OK);
-                put_u32(&mut b, *applied);
-                b
-            }
-            Response::Stats(ws) => {
-                let mut b =
-                    Vec::with_capacity(STATS_BASE_BYTES + ws.heat.as_ref().map_or(0, heat_bytes));
-                b.push(STATUS_OK);
-                encode_wire_stats(&mut b, ws);
-                b
-            }
+            Response::ValueV(v) => VALUE_HEAD + v.as_ref().map_or(0, Vec::len),
+            Response::Scan { .. } => 17,
+            Response::Batch { .. } => 5,
+            Response::Stats(ws) => STATS_BASE_BYTES + ws.heat.as_ref().map_or(0, heat_bytes),
             Response::Events(events) => {
                 let bytes: usize = events
                     .iter()
@@ -550,27 +621,49 @@ impl Response {
                             + e.fields.iter().map(|(k, v)| 8 + k.len() + v.len()).sum::<usize>()
                     })
                     .sum();
-                let mut b = Vec::with_capacity(5 + bytes);
+                5 + bytes
+            }
+            Response::Error(msg) => 1 + msg.len(),
+        }
+    }
+
+    /// Appends the response body (no length prefix) to `b`.
+    pub(crate) fn encode_into(&self, b: &mut Vec<u8>) {
+        match self {
+            Response::ValueV(v) => {
+                encode_value(b, |b| v.as_ref().map(|v| b.extend_from_slice(v)).is_some());
+            }
+            Response::Scan { count, epoch } => {
                 b.push(STATUS_OK);
-                put_u32(&mut b, events.len() as u32);
+                put_u64(b, *count);
+                put_u64(b, *epoch);
+            }
+            Response::Batch { applied } => {
+                b.push(STATUS_OK);
+                put_u32(b, *applied);
+            }
+            Response::Stats(ws) => {
+                b.push(STATUS_OK);
+                encode_wire_stats(b, ws);
+            }
+            Response::Events(events) => {
+                b.push(STATUS_OK);
+                put_u32(b, events.len() as u32);
                 for e in events {
-                    put_u64(&mut b, e.seq);
-                    put_u64(&mut b, e.ts_ms);
+                    put_u64(b, e.seq);
+                    put_u64(b, e.ts_ms);
                     b.push(e.level.code());
-                    put_str(&mut b, &e.kind);
-                    put_u32(&mut b, e.fields.len() as u32);
+                    put_str(b, &e.kind);
+                    put_u32(b, e.fields.len() as u32);
                     for (k, v) in &e.fields {
-                        put_str(&mut b, k);
-                        put_str(&mut b, v);
+                        put_str(b, k);
+                        put_str(b, v);
                     }
                 }
-                b
             }
             Response::Error(msg) => {
-                let mut b = Vec::with_capacity(1 + msg.len());
                 b.push(STATUS_ERR);
                 b.extend_from_slice(msg.as_bytes());
-                b
             }
         }
     }
@@ -579,26 +672,23 @@ impl Response {
     /// (responses are not self-describing — a point-op reply and a batch
     /// acknowledgement can share bytes).
     pub fn decode(body: &[u8], in_reply_to: &Request) -> io::Result<Response> {
+        Response::decode_for(body, &RequestRef::from(in_reply_to))
+    }
+
+    /// [`Response::decode`] against the in-place form of the request.
+    pub(crate) fn decode_for(body: &[u8], in_reply_to: &RequestRef) -> io::Result<Response> {
         let mut c = Cursor::new(body);
-        match c.u8()? {
-            STATUS_OK => {}
-            STATUS_ERR => {
-                let msg = String::from_utf8_lossy(c.rest()).into_owned();
-                return Ok(Response::Error(msg));
-            }
-            s => return Err(bad_frame(&format!("unknown status 0x{s:02x}"))),
+        if let Some(error) = error_reply(&mut c)? {
+            return Ok(error);
         }
         let resp = match in_reply_to {
-            Request::GetV(_) | Request::PutV(_, _) | Request::RemoveV(_) => {
-                let present = c.present()?;
-                let len = c.u32()? as usize;
-                let bytes = c.take(len)?.to_vec();
-                Response::ValueV(present.then_some(bytes))
+            RequestRef::GetV(_) | RequestRef::PutV(_, _) | RequestRef::RemoveV(_) => {
+                return decode_value(body);
             }
-            Request::Scan => Response::Scan { count: c.u64()?, epoch: c.u64()? },
-            Request::BatchV(_) => Response::Batch { applied: c.u32()? },
-            Request::Stats => Response::Stats(Box::new(decode_wire_stats(&mut c)?)),
-            Request::Events { .. } => {
+            RequestRef::Scan => Response::Scan { count: c.u64()?, epoch: c.u64()? },
+            RequestRef::BatchV(_) => Response::Batch { applied: c.u32()? },
+            RequestRef::Stats => Response::Stats(Box::new(decode_wire_stats(&mut c)?)),
+            RequestRef::Events { .. } => {
                 let n = c.u32()? as usize;
                 // The claim must fit the frame before any allocation
                 // sized by it.
@@ -634,24 +724,110 @@ impl Response {
     }
 }
 
+/// Reads a reply's status byte: `Some` error reply (the rest of the body
+/// is its message), or `None` for an ok reply, whose payload follows.
+fn error_reply(c: &mut Cursor) -> io::Result<Option<Response>> {
+    match c.u8()? {
+        STATUS_OK => Ok(None),
+        STATUS_ERR => Ok(Some(Response::Error(String::from_utf8_lossy(c.rest()).into_owned()))),
+        s => Err(bad_frame(&format!("unknown status 0x{s:02x}"))),
+    }
+}
+
+/// Appends an ok reply to a point request to `b`, in place: `value`
+/// appends the found or previous value, if there is one, and says
+/// whether there was. The value length is filled in once it is known.
+pub(crate) fn encode_value(b: &mut Vec<u8>, value: impl FnOnce(&mut Vec<u8>) -> bool) {
+    let at = b.len();
+    b.extend_from_slice(&[0; VALUE_HEAD]);
+    let present = value(b);
+    let [l0, l1, l2, l3] = ((b.len() - at - VALUE_HEAD) as u32).to_le_bytes();
+    b[at..at + VALUE_HEAD].copy_from_slice(&[STATUS_OK, u8::from(present), l0, l1, l2, l3]);
+}
+
+/// Parses the head of an ok reply to a point request from the first
+/// bytes of its body, which is `body_len` bytes long in all: the present
+/// flag and the value length, if the value fills the rest of the body
+/// exactly. `None` for any other body: an error reply, or a malformed one.
+fn value_head(head: &[u8], body_len: usize) -> Option<(bool, usize)> {
+    let &[STATUS_OK, present, l0, l1, l2, l3, ..] = head else {
+        return None;
+    };
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    (body_len.checked_sub(VALUE_HEAD) == Some(len)).then_some((present != 0, len))
+}
+
+/// Decodes a whole reply body to a point request.
+fn decode_value(body: &[u8]) -> io::Result<Response> {
+    if let Some((present, _)) = value_head(body, body.len()) {
+        return Ok(Response::ValueV(present.then(|| body[VALUE_HEAD..].to_vec())));
+    }
+    match error_reply(&mut Cursor::new(body))? {
+        Some(error) => Ok(error),
+        None => Err(bad_frame("value length disagrees with frame length")),
+    }
+}
+
+/// Appends one reply frame to `out` in place and returns its body length:
+/// `body` appends the body, and the length prefix is written once it is
+/// in. A body over [`MAX_FRAME`] cannot ship: it is taken back out, and
+/// an error naming the limit takes its place (pipelining rule 2).
+pub(crate) fn frame_reply(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let mut len = out.len() - at - 4;
+    if len > MAX_FRAME {
+        out.truncate(at + 4);
+        Response::Error(format!("reply of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"))
+            .encode_into(out);
+        len = out.len() - at - 4;
+    }
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    len
+}
+
+/// Empties a drained buffer and gives back its capacity beyond
+/// [`IDLE_CAPACITY`], so one large frame does not pin its size for a
+/// connection's life.
+pub(crate) fn recycle(buf: &mut Vec<u8>) {
+    buf.clear();
+    if buf.capacity() > IDLE_CAPACITY {
+        buf.shrink_to(IDLE_CAPACITY);
+    }
+}
+
+/// The error for a length prefix over [`MAX_FRAME`]: the byte stream can
+/// no longer be framed.
+fn oversized_prefix(n: usize) -> io::Error {
+    bad_frame(&format!("frame of {n} bytes exceeds MAX_FRAME"))
+}
+
+/// Writes a frame's length prefix, refusing a body over [`MAX_FRAME`] as
+/// [`io::ErrorKind::InvalidInput`] before anything is written.
+fn write_len<W: Write>(w: &mut W, len: usize) -> io::Result<()> {
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"),
+        ));
+    }
+    w.write_all(&(len as u32).to_le_bytes())
+}
+
 /// Writes one length-prefixed frame. Oversized bodies are rejected here,
 /// on the sending side, as [`io::ErrorKind::InvalidInput`]: shipping one
 /// would make the receiver kill the connection without a response, which
 /// the sender could not tell apart from a crash.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    if body.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME ({MAX_FRAME})", body.len()),
-        ));
-    }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
+    write_len(w, body.len())?;
     w.write_all(body)
 }
 
-/// Reads one length-prefixed frame; `Ok(None)` is a clean EOF at a frame
-/// boundary (the peer hung up between requests).
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
+/// Reads a frame's length prefix; `Ok(None)` is a clean EOF before it
+/// (the peer hung up between frames), and a prefix over [`MAX_FRAME`] is
+/// [`io::ErrorKind::InvalidData`].
+fn read_len<R: Read>(r: &mut R) -> io::Result<Option<usize>> {
     let mut len = [0u8; 4];
     // A clean disconnect yields EOF on the first length byte; EOF
     // anywhere else is a torn frame.
@@ -663,11 +839,64 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     r.read_exact(&mut len[1..])?;
     let n = u32::from_le_bytes(len) as usize;
     if n > MAX_FRAME {
-        return Err(bad_frame(&format!("frame of {n} bytes exceeds MAX_FRAME")));
+        return Err(oversized_prefix(n));
     }
-    let mut body = vec![0u8; n];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
+    Ok(Some(n))
+}
+
+/// Reads one length-prefixed frame into `body`, replacing what it held;
+/// `Ok(false)` is a clean EOF at a frame boundary.
+pub(crate) fn read_frame_into<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<bool> {
+    let Some(n) = read_len(r)? else {
+        return Ok(false);
+    };
+    body.clear();
+    body.resize(n, 0);
+    r.read_exact(body)?;
+    Ok(true)
+}
+
+/// Reads one length-prefixed frame; `Ok(None)` is a clean EOF at a frame
+/// boundary (the peer hung up between requests).
+pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
+    let mut body = Vec::new();
+    Ok(read_frame_into(r, &mut body)?.then_some(body))
+}
+
+/// Reads the next reply frame to a point request off `r`; `Ok(None)` is
+/// a clean EOF. An ok reply's value goes from `r` straight into the
+/// `Vec` it is returned in; any other reply is read whole and decoded.
+pub(crate) fn read_value_reply<R: Read>(r: &mut R) -> io::Result<Option<Response>> {
+    let Some(n) = read_len(r)? else {
+        return Ok(None);
+    };
+    let mut head = [0u8; VALUE_HEAD];
+    let head = &mut head[..n.min(VALUE_HEAD)];
+    r.read_exact(head)?;
+    if let Some((present, len)) = value_head(head, n) {
+        let mut value = vec![0; len];
+        r.read_exact(&mut value)?;
+        return Ok(Some(Response::ValueV(present.then_some(value))));
+    }
+    let mut body = head.to_vec();
+    body.resize(n, 0);
+    r.read_exact(&mut body[head.len()..])?;
+    decode_value(&body).map(Some)
+}
+
+/// Splits the frame at the head of `bytes` into its body and the bytes
+/// after it, once all of it is there: `Ok(None)` while more bytes are
+/// needed, [`io::ErrorKind::InvalidData`] as soon as a length prefix over
+/// [`MAX_FRAME`] is readable.
+pub(crate) fn split_frame(bytes: &[u8]) -> io::Result<Option<(&[u8], &[u8])>> {
+    let Some(prefix) = bytes.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let n = u32::from_le_bytes(*prefix) as usize;
+    if n > MAX_FRAME {
+        return Err(oversized_prefix(n));
+    }
+    Ok(bytes[4..].split_at_checked(n))
 }
 
 /// Incremental frame decoder for nonblocking sockets.
@@ -676,9 +905,12 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
 /// thread-per-connection server, useless on a readiness loop where a
 /// `read(2)` hands over however many bytes the kernel has. `FrameDecoder`
 /// accepts those arbitrary slices via [`push`](FrameDecoder::push) and
-/// yields complete frame bodies via [`next_frame`](FrameDecoder::next_frame);
-/// a frame torn across reads simply stays buffered until the rest
-/// arrives.
+/// lends out complete frame bodies via
+/// [`next_frame`](FrameDecoder::next_frame), without copying them; a
+/// frame torn across reads simply stays buffered until the rest arrives.
+/// Once everything buffered has been consumed, the buffer gives back its
+/// capacity beyond a small bound (64 KiB), so one large frame does not
+/// pin its size.
 ///
 /// The length prefix is validated against [`MAX_FRAME`] as soon as its
 /// four bytes are buffered, so a hostile prefix is rejected before any
@@ -706,25 +938,29 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pops the next complete frame body, `Ok(None)` if more bytes are
-    /// needed, or [`io::ErrorKind::InvalidData`] if the buffered length
-    /// prefix exceeds [`MAX_FRAME`] (the connection must be dropped —
-    /// framing is lost).
-    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let pending = &self.buf[self.pos..];
-        if pending.len() < 4 {
+    /// Lends out the next complete frame body, `Ok(None)` if more bytes
+    /// are needed, or [`io::ErrorKind::InvalidData`] if the buffered
+    /// length prefix exceeds [`MAX_FRAME`] (the connection must be
+    /// dropped — framing is lost).
+    pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        let Some(n) = split_frame(&self.buf[self.pos..])?.map(|(body, _)| body.len()) else {
+            if self.at_boundary() {
+                // Drained: give the capacity back.
+                self.pos = 0;
+                recycle(&mut self.buf);
+            }
             return Ok(None);
-        }
-        let n = u32::from_le_bytes(pending[..4].try_into().unwrap()) as usize;
-        if n > MAX_FRAME {
-            return Err(bad_frame(&format!("frame of {n} bytes exceeds MAX_FRAME")));
-        }
-        if pending.len() < 4 + n {
-            return Ok(None);
-        }
-        let body = pending[4..4 + n].to_vec();
-        self.pos += 4 + n;
-        Ok(Some(body))
+        };
+        let body = self.pos + 4..self.pos + 4 + n;
+        self.pos = body.end;
+        Ok(Some(&self.buf[body]))
+    }
+
+    /// True when [`next_frame`](FrameDecoder::next_frame) has something
+    /// to hand out: a complete frame, or a length prefix over
+    /// [`MAX_FRAME`].
+    pub(crate) fn has_frame(&self) -> bool {
+        !matches!(split_frame(&self.buf[self.pos..]), Ok(None))
     }
 
     /// True when no partial frame is buffered — the point at which a
@@ -736,6 +972,12 @@ impl FrameDecoder {
     /// Bytes buffered but not yet consumed as frames.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Bytes the decoder holds allocated.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 }
 
@@ -1111,12 +1353,12 @@ mod tests {
             let mut out = Vec::new();
             dec.push(&wire[..split]);
             while let Some(body) = dec.next_frame().unwrap() {
-                out.push(Request::decode(&body).unwrap());
+                out.push(Request::decode(body).unwrap());
             }
             let mid_frame = !dec.at_boundary();
             dec.push(&wire[split..]);
             while let Some(body) = dec.next_frame().unwrap() {
-                out.push(Request::decode(&body).unwrap());
+                out.push(Request::decode(body).unwrap());
             }
             assert_eq!(out, reqs, "split at byte {split}");
             assert!(dec.at_boundary(), "split at byte {split} left residue");
@@ -1137,7 +1379,7 @@ mod tests {
         for &b in &wire {
             dec.push(&[b]);
             while let Some(body) = dec.next_frame().unwrap() {
-                out.push(Request::decode(&body).unwrap());
+                out.push(Request::decode(body).unwrap());
             }
         }
         assert_eq!(out, reqs);
@@ -1190,7 +1432,7 @@ mod tests {
             dec.push(chunk);
             while let Some(body) = dec.next_frame().unwrap() {
                 let req = fifo.pop_front().expect("a frame per pending request");
-                got.push(Response::decode(&body, &req).unwrap());
+                got.push(Response::decode(body, &req).unwrap());
             }
         }
         assert_eq!(got, resps);

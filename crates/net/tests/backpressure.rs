@@ -1,13 +1,15 @@
 //! A client that stops reading must not cost the epoll loop its CPU.
 //!
-//! The loop stops reading a connection whose outbound buffer is over its
-//! cap. This test holds a connection in that state, with one more request
-//! waiting unread in its socket, and reads the loop thread's CPU time out
-//! of `/proc/self/task`. It is a test binary of its own so that no other
-//! test runs a `poly-net-accept` thread beside it.
+//! The loop stops answering and reading a connection whose outbound
+//! buffer is over its cap. This test holds a connection in that state,
+//! with the rest of a burst waiting in its decoder, one more request
+//! unread in its socket and the client's writing half shut, and reads the
+//! loop thread's CPU time out of `/proc/self/task`. It is a test binary of
+//! its own so that no other test runs a `poly-net-accept` thread beside
+//! it.
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,6 +46,8 @@ fn a_client_that_stops_reading_leaves_the_epoll_loop_idle() {
     // 64 MiB of replies: far over the loop's 8 MiB cap plus what the
     // loopback socket buffers absorb.
     const PIPELINED: usize = 64;
+    // Replies the loop answers before its outbound buffer passes the cap.
+    const OVER_CAP: u64 = 8;
 
     let store = Arc::new(PolyStore::new(StoreConfig {
         shards: 2,
@@ -63,13 +67,15 @@ fn a_client_that_stops_reading_leaves_the_epoll_loop_idle() {
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
     raw.write_all(&burst).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.net_stats().frames < PIPELINED as u64 {
-        assert!(Instant::now() < deadline, "the burst was never answered");
+    while server.net_stats().frames < OVER_CAP {
+        assert!(Instant::now() < deadline, "the burst was never answered up to the cap");
         std::thread::sleep(Duration::from_millis(5));
     }
     // One more request arrives while the loop is over its cap, so it
-    // stays unread in the socket.
+    // stays unread in the socket, and then the client's EOF: neither may
+    // wake the loop while it cannot read.
     write_frame(&mut raw, &get.encode()).unwrap();
+    raw.shutdown(Shutdown::Write).unwrap();
     std::thread::sleep(Duration::from_millis(100));
 
     let (t0, before) = (Instant::now(), thread_ticks("poly-net-accept"));

@@ -89,7 +89,9 @@ struct Sweep {
 /// section so stats recording never extends the lock hold.
 #[derive(Default)]
 struct Outcome {
-    prev: Option<Vec<u8>>,
+    /// The op met a live entry: a hit, an overwrite or a removal. Its
+    /// bytes went to the op's sink, if it had one.
+    found: bool,
     evicted: u64,
     expired: u64,
     /// A shard's summed sweeps, due as one `eviction_sweep` event.
@@ -126,10 +128,10 @@ impl ShardData {
     }
 
     /// Removes `key` outright at store clock `now_ns`: a live entry's
-    /// bytes come back as `prev`, an expired one only counts as an
-    /// expiration. The ring slot goes stale rather than being compacted
-    /// eagerly.
-    fn remove(&mut self, key: u64, now_ns: u64) -> Outcome {
+    /// bytes are appended to `sink`, if there is one; an expired entry
+    /// only counts as an expiration. The ring slot goes stale rather than
+    /// being compacted eagerly.
+    fn remove(&mut self, key: u64, now_ns: u64, sink: Option<&mut Vec<u8>>) -> Outcome {
         let mut out = Outcome::default();
         let Some(e) = self.map.remove(&key) else {
             return out;
@@ -137,15 +139,19 @@ impl ShardData {
         if e.expires_at_ns <= now_ns {
             out.expired = 1;
         } else {
-            out.prev = Some(self.slab.get(e.handle, e.len as usize).to_vec());
+            out.found = true;
+            if let Some(sink) = sink {
+                sink.extend_from_slice(self.slab.get(e.handle, e.len as usize));
+            }
         }
         self.slab.free(e.handle, e.len as usize);
         out
     }
 
-    /// Point lookup with TTL enforcement: a hit sets the reference bit;
-    /// an expired entry is dropped and reported as a miss.
-    fn get(&mut self, key: u64, now_ns: u64) -> Outcome {
+    /// Point lookup with TTL enforcement: a hit's bytes are appended to
+    /// `sink` and set the reference bit; an expired entry is dropped and
+    /// reported as a miss.
+    fn get(&mut self, key: u64, now_ns: u64, sink: &mut Vec<u8>) -> Outcome {
         let hit = match self.map.get_mut(&key) {
             None => return Outcome::default(),
             Some(e) if e.expires_at_ns <= now_ns => None,
@@ -156,9 +162,10 @@ impl ShardData {
         };
         match hit {
             Some((h, len)) => {
-                Outcome { prev: Some(self.slab.get(h, len).to_vec()), ..Outcome::default() }
+                sink.extend_from_slice(self.slab.get(h, len));
+                Outcome { found: true, ..Outcome::default() }
             }
-            None => self.remove(key, now_ns),
+            None => self.remove(key, now_ns, None),
         }
     }
 
@@ -166,21 +173,22 @@ impl ShardData {
     ///
     /// An overwrite of a live key updates the entry in place and counts
     /// as a reference, as in textbook CLOCK: the entry keeps its map and
-    /// ring slots, its reference bit is set, and the old bytes come back
-    /// as `prev`. Its old block is freed, the hand makes room around the
-    /// entry (pinned, so never its own victim) and the entry moves to a
-    /// new block. For a value of the same size class that is the block
-    /// just freed: the class freelist is LIFO, and the freed bytes
-    /// already make room, so the hand does not move.
+    /// ring slots, its reference bit is set, and the old bytes are
+    /// appended to `sink`, if there is one. Its old block is freed, the
+    /// hand makes room around the entry (pinned, so never its own victim)
+    /// and the entry moves to a new block. For a value of the same size
+    /// class that is the block just freed: the class freelist is LIFO,
+    /// and the freed bytes already make room, so the hand does not move.
     ///
     /// An absent key is inserted at the ring's tail with its reference
     /// bit clear, so cold inserts are first in line for the hand. An
-    /// expired entry is dropped first (one expiration, no `prev`) and its
-    /// key inserted afresh.
+    /// expired entry is dropped first (one expiration, nothing to `sink`)
+    /// and its key inserted afresh.
     ///
     /// A value whose charged block exceeds the whole per-shard budget is
-    /// *refused* (the old entry, if any, is still removed and returned):
-    /// storing it would either bust the budget or wipe the shard.
+    /// *refused* (the old entry, if any, is still removed and its bytes
+    /// still go to `sink`): storing it would either bust the budget or
+    /// wipe the shard.
     fn put(
         &mut self,
         key: u64,
@@ -188,13 +196,17 @@ impl ShardData {
         expires_at_ns: u64,
         budget: Option<u64>,
         now_ns: u64,
+        sink: Option<&mut Vec<u8>>,
     ) -> Outcome {
         let need = Slab::block_size(value.len()) as u64;
         let refused = budget.is_some_and(|b| need > b);
         let mut out = Outcome::default();
         match self.map.get_mut(&key) {
             Some(e) if e.expires_at_ns > now_ns && !refused => {
-                out.prev = Some(self.slab.get(e.handle, e.len as usize).to_vec());
+                out.found = true;
+                if let Some(sink) = sink {
+                    sink.extend_from_slice(self.slab.get(e.handle, e.len as usize));
+                }
                 e.referenced = true;
                 e.expires_at_ns = expires_at_ns;
                 let old_len = std::mem::replace(&mut e.len, value.len() as u32) as usize;
@@ -204,7 +216,7 @@ impl ShardData {
                 self.map.get_mut(&key).expect("the hand steps over a pinned key").handle = handle;
                 return out;
             }
-            Some(_) => out = self.remove(key, now_ns),
+            Some(_) => out = self.remove(key, now_ns, sink),
             None => {}
         }
         if refused {
@@ -327,9 +339,13 @@ impl ShardData {
 ///
 /// * **Point ops** ([`get`](PolyStore::get), [`put`](PolyStore::put),
 ///   [`remove`](PolyStore::remove)) touch exactly one shard lock. Values
-///   are arbitrary byte strings held in a per-shard [`Slab`]; the
-///   [`get_u64`](PolyStore::get_u64) / [`put_u64`](PolyStore::put_u64)
-///   conveniences store a `u64` as its 8 little-endian bytes.
+///   are arbitrary byte strings held in a per-shard [`Slab`]. Each op's
+///   `*_into` form ([`get_into`](PolyStore::get_into) and its siblings)
+///   appends the bytes it finds to the caller's buffer under the lock,
+///   so a server can copy a value from the slab into its reply without
+///   an allocation. The [`get_u64`](PolyStore::get_u64) /
+///   [`put_u64`](PolyStore::put_u64) conveniences store a `u64` as its 8
+///   little-endian bytes.
 /// * **TTL**: every entry carries an optional expiry against the store's
 ///   internal clock ([`StoreConfig::default_ttl`],
 ///   [`put_with_ttl`](PolyStore::put_with_ttl)); expired entries read as
@@ -511,12 +527,13 @@ impl PolyStore {
     /// acquisition and release, and books its lock wait and hold, its
     /// service time (entry to release) and its key sample for
     /// `SKETCH_SAMPLE` ops. Any other op reads only the entry clock.
+    /// Returns whether the op met a live entry.
     fn point_op(
         &self,
         key: u64,
         op: impl FnOnce(&mut ShardData, u64) -> Outcome,
         count: impl FnOnce(&ShardStats, &Outcome),
-    ) -> Option<Vec<u8>> {
+    ) -> bool {
         let observed = observe();
         let t0 = clock();
         let now = self.clock_ns(t0);
@@ -531,41 +548,70 @@ impl PolyStore {
             stats.note_key(key);
             stats.record_latency(nanos(t0, t2), SKETCH_SAMPLE);
         }
-        out.prev
+        out.found
     }
 
-    /// Point lookup. An entry past its TTL reads as a miss (and is
-    /// dropped); a hit marks the entry recently used for the CLOCK hand.
+    /// Point lookup into the caller's buffer: a hit's bytes are appended
+    /// to `sink` under the shard lock, and the call says whether there
+    /// was a hit. A miss leaves `sink` as it was, and so does an entry
+    /// past its TTL, which reads as a miss (and is dropped). A hit marks
+    /// the entry recently used for the CLOCK hand.
+    pub fn get_into(&self, key: u64, sink: &mut Vec<u8>) -> bool {
+        self.point_op(key, |s, now| s.get(key, now, sink), |stats, out| stats.record_get(out.found))
+    }
+
+    /// [`get_into`](PolyStore::get_into) a fresh `Vec`: the hit's bytes,
+    /// or `None`.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        self.point_op(
-            key,
-            |s, now| s.get(key, now),
-            |stats, out| stats.record_get(out.prev.is_some()),
-        )
+        owned(|sink| self.get_into(key, sink))
     }
 
-    /// Point insert/update with the store's default TTL; returns the
-    /// previous live value. Under a memory budget the shard evicts via
-    /// CLOCK until the value fits; a value too large for the whole shard
-    /// budget is refused (the put still removes any old entry).
+    /// Point insert/update with the store's default TTL, into the
+    /// caller's buffer: the previous live value is appended to `sink`
+    /// under the shard lock, and the call says whether there was one.
+    /// Under a memory budget the shard evicts via CLOCK until the value
+    /// fits; a value too large for the whole shard budget is refused (the
+    /// put still removes any old entry, whose bytes still go to `sink`).
+    pub fn put_into(&self, key: u64, value: &[u8], sink: &mut Vec<u8>) -> bool {
+        self.put_at(key, value, None, sink)
+    }
+
+    /// [`put_into`](PolyStore::put_into) a fresh `Vec`: the previous live
+    /// value, or `None`.
     pub fn put(&self, key: u64, value: &[u8]) -> Option<Vec<u8>> {
         self.put_with_ttl(key, value, None)
     }
 
     /// [`put`](PolyStore::put) with an explicit TTL override.
     pub fn put_with_ttl(&self, key: u64, value: &[u8], ttl: Option<Duration>) -> Option<Vec<u8>> {
+        owned(|sink| self.put_at(key, value, ttl, sink))
+    }
+
+    fn put_at(&self, key: u64, value: &[u8], ttl: Option<Duration>, sink: &mut Vec<u8>) -> bool {
         let budget = self.shard_budget;
         self.point_op(
             key,
-            |s, now| s.put(key, value, self.deadline(ttl, now), budget, now),
+            |s, now| s.put(key, value, self.deadline(ttl, now), budget, now, Some(sink)),
             |stats, _| stats.record_put(),
         )
     }
 
-    /// Point deletion; returns the removed value (None if absent or
-    /// already expired).
+    /// Point deletion into the caller's buffer: the removed value's
+    /// bytes are appended to `sink` under the shard lock, and the call
+    /// says whether there was one. An absent or already expired key
+    /// leaves `sink` as it was.
+    pub fn remove_into(&self, key: u64, sink: &mut Vec<u8>) -> bool {
+        self.point_op(
+            key,
+            |s, now| s.remove(key, now, Some(sink)),
+            |stats, _| stats.record_remove(),
+        )
+    }
+
+    /// [`remove_into`](PolyStore::remove_into) a fresh `Vec`: the removed
+    /// value, or `None`.
     pub fn remove(&self, key: u64) -> Option<Vec<u8>> {
-        self.point_op(key, |s, now| s.remove(key, now), |stats, _| stats.record_remove())
+        owned(|sink| self.remove_into(key, sink))
     }
 
     /// [`get`](PolyStore::get) decoded as a little-endian `u64`. `None`
@@ -611,8 +657,8 @@ impl PolyStore {
                 let mut out = Outcome::default();
                 for &(key, val) in ops {
                     let o = match val {
-                        Some(v) => s.put(key, v, expires, budget, now),
-                        None => s.remove(key, now),
+                        Some(v) => s.put(key, v, expires, budget, now, None),
+                        None => s.remove(key, now, None),
                     };
                     out.evicted += o.evicted;
                     out.expired += o.expired;
@@ -788,6 +834,13 @@ fn clock() -> Instant {
     #[cfg(test)]
     tests::CLOCK_READS.with(|n| n.set(n.get() + 1));
     Instant::now()
+}
+
+/// Runs a `*_into` point op into a fresh `Vec`: the bytes it appended,
+/// if it met a live entry.
+fn owned(op: impl FnOnce(&mut Vec<u8>) -> bool) -> Option<Vec<u8>> {
+    let mut bytes = Vec::new();
+    op(&mut bytes).then_some(bytes)
 }
 
 /// Nanoseconds from `from` to `to`, zero if `to` is earlier.
@@ -976,23 +1029,73 @@ mod tests {
     }
 
     #[test]
+    fn into_ops_append_to_the_sink_and_leave_it_alone_on_a_miss() {
+        let store = PolyStore::new(StoreConfig {
+            shards: 2,
+            default_ttl: Some(Duration::from_secs(60)),
+            ..Default::default()
+        });
+        let mut sink = b"head".to_vec();
+        assert!(!store.put_into(1, b"one", &mut sink), "a fresh key has no previous value");
+        assert_eq!(sink, b"head");
+        assert!(store.put_into(1, b"uno", &mut sink));
+        assert_eq!(sink, b"headone", "the previous value lands after what was there");
+        assert!(store.get_into(1, &mut sink));
+        assert_eq!(sink, b"headoneuno");
+        assert!(!store.get_into(2, &mut sink), "a miss");
+        assert!(store.remove_into(1, &mut sink));
+        assert_eq!(sink, b"headoneunouno");
+        assert!(!store.remove_into(1, &mut sink), "already removed");
+        assert_eq!(sink, b"headoneunouno");
+        // Entries past their TTL read as absent to every op.
+        for k in 10..13u64 {
+            store.put(k, b"stale");
+        }
+        store.advance_clock(Duration::from_secs(61));
+        assert!(!store.get_into(10, &mut sink));
+        assert!(!store.put_into(11, b"fresh", &mut sink));
+        assert!(!store.remove_into(12, &mut sink));
+        assert_eq!(sink, b"headoneunouno", "misses and expired entries append nothing");
+        assert_eq!(store.total_stats().expired, 3);
+        let t = store.total_stats();
+        assert_eq!((t.gets, t.get_hits, t.puts, t.removes), (3, 1, 6, 3));
+    }
+
+    #[test]
+    fn a_refused_put_into_still_returns_the_old_value() {
+        let store =
+            PolyStore::new(StoreConfig { shards: 1, mem_budget: Some(256), ..Default::default() });
+        store.put(1, &[1; 32]);
+        let mut sink = vec![0xEE];
+        assert!(store.put_into(1, &[9; 1000], &mut sink), "the old entry was live");
+        assert_eq!(sink[..], [&[0xEE][..], &[1; 32][..]].concat());
+        assert_eq!(store.get(1), None, "the oversized value was refused");
+        assert!(!store.put_into(1, &[9; 1000], &mut sink), "nothing left to return");
+        assert_eq!(sink.len(), 33);
+    }
+
+    #[test]
     fn overwrites_keep_the_entry_and_its_ring_slot() {
         let mut s = ShardData::new();
         let resized = |i: u64| vec![i as u8; if i.is_multiple_of(2) { 40 } else { 100 }];
         let same = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes().to_vec();
+        let mut sink = Vec::new();
         for (key, value) in [(1u64, resized(0)), (2, same(0))] {
-            assert_eq!(s.put(key, &value, NEVER, None, 0).prev, None);
+            assert!(!s.put(key, &value, NEVER, None, 0, Some(&mut sink)).found);
         }
         for i in 1..=1_000u64 {
             for (key, old, new) in [(1u64, resized(i - 1), resized(i)), (2, same(i - 1), same(i))] {
-                let out = s.put(key, &new, NEVER, None, 0);
-                assert_eq!(out.prev, Some(old), "overwrite {i} of key {key} returns the old bytes");
+                sink.clear();
+                assert!(s.put(key, &new, NEVER, None, 0, Some(&mut sink)).found);
+                assert_eq!(sink, old, "overwrite {i} of key {key} returns the old bytes");
                 assert_eq!(
                     s.ring.len(),
                     s.map.len(),
                     "overwrite {i} of key {key} left a stale slot"
                 );
-                assert_eq!(s.get(key, 0).prev, Some(new), "overwrite {i} of key {key} reads back");
+                sink.clear();
+                assert!(s.get(key, 0, &mut sink).found);
+                assert_eq!(sink, new, "overwrite {i} of key {key} reads back");
             }
         }
         assert_eq!(s.slab.mem_bytes(), 64 + 16, "one block per key");
