@@ -22,14 +22,18 @@ use poly_store::{
 };
 
 use crate::proto::{read_frame, read_value_reply, Request, RequestRef, Response, WireStats};
+use crate::spin::SpinRead;
 
 /// One framed TCP connection to a [`crate::NetServer`].
 ///
 /// Request frames are written straight into a buffered writer (a PUTV's
 /// value is not copied first), and the value of a point reply is read
-/// straight into the `Vec` handed back.
+/// straight into the `Vec` handed back. A read that waits for a reply
+/// polls the socket for up to 50 µs before it blocks, when the previous
+/// wait was that short: a loopback reply then arrives without the thread
+/// being put to sleep and woken.
 pub struct NetConn {
-    reader: BufReader<TcpStream>,
+    reader: BufReader<SpinRead>,
     writer: BufWriter<TcpStream>,
 }
 
@@ -38,7 +42,8 @@ impl NetConn {
     pub fn dial(addr: SocketAddr) -> io::Result<NetConn> {
         let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
         stream.set_nodelay(true).ok();
-        Ok(NetConn { reader: BufReader::new(stream.try_clone()?), writer: BufWriter::new(stream) })
+        let reader = BufReader::new(SpinRead::new(stream.try_clone()?));
+        Ok(NetConn { reader, writer: BufWriter::new(stream) })
     }
 
     /// Sends one request and waits for its response.

@@ -1,24 +1,33 @@
-//! Raw `epoll(7)` bindings: the readiness notification layer under the
-//! event-loop server.
+//! Raw syscall bindings: the readiness notification layer under the
+//! event-loop server, and the two socket calls `std::net` lacks.
 //!
 //! Declared directly as `extern "C"` symbols — the same no-dependency
 //! pattern as `poly-bench`'s raw `signal(2)` binding (the workspace
-//! builds offline; there is no libc crate to lean on). Only the four
-//! calls the event loop needs are bound: `epoll_create1`, `epoll_ctl`,
-//! `epoll_wait`, and `close`, plus `getrlimit`/`setrlimit` so c10k-scale
-//! tests can lift `RLIMIT_NOFILE` toward its hard cap before opening
-//! thousands of sockets.
+//! builds offline; there is no libc crate to lean on). Bound here:
+//!
+//! - `epoll_create1`, `epoll_ctl`, `epoll_wait` and `close`: the event
+//!   loop's readiness layer;
+//! - `recv` with `MSG_DONTWAIT`: one read that does not block, even on a
+//!   blocking socket, so a client can poll for a reply before it sleeps
+//!   in `read`;
+//! - `listen`: a bound listener asks again for the longest accept queue
+//!   the kernel allows;
+//! - `getrlimit`/`setrlimit`, so c10k-scale tests can lift
+//!   `RLIMIT_NOFILE` toward its hard cap before opening thousands of
+//!   sockets.
 //!
 //! The [`Epoll`] wrapper keeps the unsafe surface in one place: it owns
-//! the epoll fd, registers interest by `u64` token, and translates
-//! `epoll_wait` results into `(token, readable, writable)` triples. The
-//! sockets themselves stay ordinary `std::net` types — `TcpListener` /
-//! `TcpStream` already expose `set_nonblocking`, so no `fcntl` binding
-//! is needed.
+//! the epoll fd and the kernel's event buffer, registers interest by
+//! `u64` token, and reads `epoll_wait` results as `(token, readable,
+//! writable)` triples. The sockets themselves stay ordinary `std::net`
+//! types — `TcpListener` / `TcpStream` already expose `set_nonblocking`,
+//! so no `fcntl` binding is needed.
 
+use std::ffi::c_void;
 use std::io;
+use std::net::{TcpListener, TcpStream};
 use std::os::raw::c_int;
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 
 /// Readable interest/readiness (`EPOLLIN`).
 pub const EPOLLIN: u32 = 0x001;
@@ -39,6 +48,11 @@ const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0x80000;
+/// `recv(2)` flag: this one call does not block, whatever the socket's
+/// mode.
+const MSG_DONTWAIT: c_int = 0x40;
+/// Events one `epoll_wait` can report.
+const MAX_EVENTS: usize = 256;
 
 /// The kernel's `struct epoll_event`. Packed on x86_64 (the kernel ABI
 /// demands it there); naturally aligned everywhere else.
@@ -61,6 +75,10 @@ extern "C" {
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     /// `close(2)`.
     fn close(fd: c_int) -> c_int;
+    /// `recv(2)`.
+    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+    /// `listen(2)`.
+    fn listen(fd: c_int, backlog: c_int) -> c_int;
     /// `getrlimit(2)`.
     fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
     /// `setrlimit(2)`.
@@ -106,7 +124,35 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
     Ok(target)
 }
 
-/// One `(token, readiness)` result from [`Epoll::wait`].
+/// Reads what `stream` has received without blocking, whatever the
+/// socket's mode: `Ok(None)` while nothing has arrived (or a signal cut
+/// the call short), `Ok(Some(0))` at EOF, and a socket error as it comes.
+pub(crate) fn recv_nowait(stream: &TcpStream, buf: &mut [u8]) -> io::Result<Option<usize>> {
+    // SAFETY: `buf` is valid for writes of `buf.len()` bytes, and
+    // `stream` keeps its fd open for the whole call.
+    let n = unsafe { recv(stream.as_raw_fd(), buf.as_mut_ptr().cast(), buf.len(), MSG_DONTWAIT) };
+    if n >= 0 {
+        return Ok(Some(n as usize));
+    }
+    let e = io::Error::last_os_error();
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(None),
+        _ => Err(e),
+    }
+}
+
+/// Asks again for `listener`'s accept queue, at the longest the kernel
+/// allows: it clamps the request to `net.core.somaxconn`.
+/// `TcpListener::bind` asks for 128, and a burst of connects past a full
+/// queue costs each dropped SYN a one-second retransmit.
+pub(crate) fn listen_at_max(listener: &TcpListener) -> io::Result<()> {
+    // SAFETY: no pointers; `listener` keeps its fd open for the call, and
+    // listening again on a listening socket only resizes its queue.
+    cvt(unsafe { listen(listener.as_raw_fd(), c_int::MAX) })?;
+    Ok(())
+}
+
+/// One `(token, readiness)` result, as [`Epoll::ready`] lists them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Readiness {
     /// The token the fd was registered under.
@@ -123,6 +169,11 @@ pub struct Readiness {
 #[derive(Debug)]
 pub struct Epoll {
     fd: RawFd,
+    /// The kernel's event buffer, kept across waits, so a wait that finds
+    /// nothing costs only its syscall.
+    events: Box<[EpollEvent]>,
+    /// How many of `events` the last wait filled.
+    ready: usize,
 }
 
 impl Epoll {
@@ -130,7 +181,7 @@ impl Epoll {
     pub fn new() -> io::Result<Epoll> {
         // SAFETY: no pointers involved; the fd is checked below.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(Epoll { fd })
+        Ok(Epoll { fd, events: vec![EpollEvent::default(); MAX_EVENTS].into(), ready: 0 })
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
@@ -157,32 +208,36 @@ impl Epoll {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Blocks up to `timeout_ms` for readiness and appends the results
-    /// to `out` (cleared first). Returns the number of ready fds; `0` is
+    /// Blocks up to `timeout_ms` for readiness (`0` polls) and returns
+    /// the number of ready fds, which [`Epoll::ready`] then lists; `0` is
     /// a timeout. `EINTR` is absorbed and reported as a timeout, so a
     /// profiler signal never kills the event loop.
-    pub fn wait(&self, out: &mut Vec<Readiness>, timeout_ms: i32) -> io::Result<usize> {
-        out.clear();
-        const MAX_EVENTS: usize = 256;
-        let mut events = [EpollEvent::default(); MAX_EVENTS];
-        // SAFETY: `events` is a valid array of MAX_EVENTS epoll_events.
+    pub fn wait(&mut self, timeout_ms: i32) -> io::Result<usize> {
+        self.ready = 0;
+        // SAFETY: `events` is a valid, writable array of `events.len()`
+        // epoll_events.
         let n = match cvt(unsafe {
-            epoll_wait(self.fd, events.as_mut_ptr(), MAX_EVENTS as c_int, timeout_ms)
+            epoll_wait(self.fd, self.events.as_mut_ptr(), self.events.len() as c_int, timeout_ms)
         }) {
             Ok(n) => n as usize,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
             Err(e) => return Err(e),
         };
-        for ev in &events[..n] {
+        self.ready = n;
+        Ok(n)
+    }
+
+    /// The fds the last [`Epoll::wait`] found ready.
+    pub fn ready(&self) -> impl Iterator<Item = Readiness> + '_ {
+        self.events[..self.ready].iter().map(|ev| {
             // Copy out of the (possibly packed) struct before use.
             let (bits, token) = (ev.events, ev.data);
-            out.push(Readiness {
+            Readiness {
                 token,
                 readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0,
                 writable: bits & EPOLLOUT != 0,
-            });
-        }
-        Ok(n)
+            }
+        })
     }
 }
 
@@ -199,12 +254,11 @@ impl Drop for Epoll {
 mod tests {
     use super::*;
     use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
-    use std::os::unix::io::AsRawFd;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn readiness_tracks_a_loopback_pair() {
-        let ep = Epoll::new().expect("epoll_create1");
+        let mut ep = Epoll::new().expect("epoll_create1");
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_end, _) = listener.accept().unwrap();
@@ -212,42 +266,70 @@ mod tests {
         ep.add(server_end.as_raw_fd(), EPOLLIN, 7).unwrap();
 
         // Nothing written yet: the wait times out.
-        let mut ready = Vec::new();
-        assert_eq!(ep.wait(&mut ready, 0).unwrap(), 0);
+        assert_eq!(ep.wait(0).unwrap(), 0);
 
         // Bytes in flight: the server end becomes readable under token 7.
         client.write_all(b"ping").unwrap();
         client.flush().unwrap();
-        let n = ep.wait(&mut ready, 2_000).unwrap();
+        let n = ep.wait(2_000).unwrap();
         assert_eq!(n, 1, "one fd ready");
+        let ready: Vec<Readiness> = ep.ready().collect();
         assert_eq!(ready[0].token, 7);
         assert!(ready[0].readable);
 
         // Re-armed for write interest: an idle socket is instantly writable.
         ep.modify(server_end.as_raw_fd(), EPOLLIN | EPOLLOUT, 7).unwrap();
-        ep.wait(&mut ready, 2_000).unwrap();
-        assert!(ready.iter().any(|r| r.token == 7 && r.writable));
+        ep.wait(2_000).unwrap();
+        assert!(ep.ready().any(|r| r.token == 7 && r.writable));
 
         // Deregistered: readiness stops arriving even with bytes pending.
         ep.delete(server_end.as_raw_fd()).unwrap();
         client.write_all(b"more").unwrap();
-        assert_eq!(ep.wait(&mut ready, 0).unwrap(), 0);
+        assert_eq!(ep.wait(0).unwrap(), 0);
+        assert_eq!(ep.ready().count(), 0, "a wait that finds nothing lists nothing");
     }
 
     #[test]
     fn hangup_reports_as_readable() {
-        let ep = Epoll::new().unwrap();
+        let mut ep = Epoll::new().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_end, _) = listener.accept().unwrap();
         ep.add(server_end.as_raw_fd(), EPOLLIN, 1).unwrap();
         drop(client);
-        let mut ready = Vec::new();
-        ep.wait(&mut ready, 2_000).unwrap();
+        ep.wait(2_000).unwrap();
+        let ready: Vec<Readiness> = ep.ready().collect();
         assert!(
             ready.iter().any(|r| r.token == 1 && r.readable),
             "a peer hangup must wake the reader: {ready:?}"
         );
+    }
+
+    #[test]
+    fn recv_nowait_polls_a_blocking_socket() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_end, _) = listener.accept().unwrap();
+        let mut buf = [0u8; 8];
+        // Nothing sent: the poll returns at once, though the socket blocks.
+        assert_eq!(recv_nowait(&server_end, &mut buf).unwrap(), None);
+        client.write_all(b"ping").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let n = loop {
+            if let Some(n) = recv_nowait(&server_end, &mut buf).unwrap() {
+                break n;
+            }
+            assert!(Instant::now() < deadline, "the bytes never arrived");
+        };
+        assert_eq!(&buf[..n], b"ping");
+        drop(client);
+        let eof = loop {
+            if let Some(n) = recv_nowait(&server_end, &mut buf).unwrap() {
+                break n;
+            }
+            assert!(Instant::now() < deadline, "the hangup never arrived");
+        };
+        assert_eq!(eof, 0, "a hangup reads as EOF");
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! The readiness server: one thread, many connections.
 //!
 //! Instead of a worker thread per connection ([`crate::server::Arch::Threads`]),
-//! a single loop blocks in `epoll_wait` and services whichever sockets
-//! the kernel reports ready. The paper's sleep-vs-spin tradeoff reappears
-//! here a layer up: the loop sleeps in the kernel between readiness
-//! bursts rather than burning a blocked thread per idle connection, which
-//! is what makes the architecture an energy axis worth sweeping.
+//! a single loop waits for readiness and services whichever sockets the
+//! kernel reports ready. The paper's sleep-vs-spin tradeoff reappears
+//! here a layer up, twice. Between readiness bursts the loop sleeps in
+//! `epoll_wait` rather than burning a blocked thread per idle connection,
+//! which is what makes the architecture an energy axis worth sweeping.
+//! And before it sleeps, it spins as MUTEXEE does: it polls `epoll_wait`
+//! at timeout 0, yielding the CPU between polls, for at most 50 µs, and
+//! only when its previous wait ended within that budget
+//! ([`crate::spin::SpinThenSleep`]). A request that lands within the
+//! budget is read without the loop being put to sleep and woken; an idle
+//! loop, or one behind a paced client, goes straight to sleep.
 //!
 //! Every socket is read through one buffer the loop owns, and each
 //! complete request frame is answered where it was read, through the
@@ -34,6 +40,7 @@ use std::sync::Arc;
 use crate::epoll::{Epoll, Readiness, EPOLLIN, EPOLLOUT};
 use crate::proto::{recycle, split_frame, FrameDecoder};
 use crate::server::{answer, refuse_framing, Inner, Tally};
+use crate::spin::SpinThenSleep;
 
 /// Token reserved for the listening socket.
 const LISTENER: u64 = 0;
@@ -72,7 +79,7 @@ impl Conn {
 /// until the stop flag is raised. Connection counters, capacity
 /// refusals, and request execution are shared with the threads server.
 pub(crate) fn run(listener: TcpListener, inner: &Arc<Inner>) {
-    let Ok(ep) = Epoll::new() else { return };
+    let Ok(mut ep) = Epoll::new() else { return };
     if listener.set_nonblocking(true).is_err() {
         return;
     }
@@ -81,20 +88,22 @@ pub(crate) fn run(listener: TcpListener, inner: &Arc<Inner>) {
     }
     let mut slab: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
-    let mut ready: Vec<Readiness> = Vec::new();
     let mut rbuf = vec![0u8; READ_BUF];
-    // The wait timeout doubles as the stop-flag polling cadence, exactly
-    // like the threads server's per-connection read timeout.
+    let mut waiter = SpinThenSleep::new();
+    // The blocking wait's timeout doubles as the stop-flag polling
+    // cadence, exactly like the threads server's per-connection read
+    // timeout.
     let timeout_ms = inner.cfg.read_timeout.as_millis().clamp(1, 1_000) as i32;
 
     loop {
-        if ep.wait(&mut ready, timeout_ms).is_err() {
+        let woke = waiter.wait(|block| {
+            let n = ep.wait(if block { timeout_ms } else { 0 })?;
+            Ok((block || n > 0).then_some(()))
+        });
+        if woke.is_err() || inner.stop.load(Ordering::SeqCst) {
             break;
         }
-        if inner.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        for &ev in &ready {
+        for ev in ep.ready() {
             if ev.token == LISTENER {
                 accept_burst(&listener, &ep, inner, &mut slab, &mut free);
                 continue;

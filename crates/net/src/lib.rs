@@ -11,7 +11,7 @@
 //!   [`proto::FrameDecoder`] and pipelining rules (FIFO per connection,
 //!   errors answered in their slot);
 //! * [`epoll`] — the no-dependency syscall bindings under the readiness
-//!   server;
+//!   server and the client's nonblocking polls;
 //! * [`NetServer`] — one [`poly_store::PolyStore`] behind either
 //!   architecture ([`Arch`]): `threads`, a blocking accept loop with one
 //!   worker per connection (capped by [`ServerConfig::max_conns`]), or
@@ -73,6 +73,7 @@ pub mod epoll;
 mod event_loop;
 pub mod proto;
 mod server;
+mod spin;
 
 pub use client::{NetClient, NetConn, PooledConn};
 pub use server::{Arch, NetServer, NetStatsSnapshot, ServerBuilder, ServerConfig};

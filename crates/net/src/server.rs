@@ -75,8 +75,12 @@ pub struct ServerConfig {
     /// thread pool; under [`Arch::Epoll`] it caps the sockets one loop
     /// holds.
     pub max_conns: usize,
-    /// Per-connection read timeout: how often an idle worker wakes to
-    /// check for shutdown. Smaller = faster shutdown, more idle wakeups.
+    /// How often an idle server thread wakes to check for shutdown: the
+    /// read timeout of each [`Arch::Threads`] worker, and the longest
+    /// blocking `epoll_wait` of the [`Arch::Epoll`] loop. Smaller = faster
+    /// shutdown, more idle wakeups. It bounds the loop's sleep, not the
+    /// spin before it: the loop polls for at most 50 µs first, and only
+    /// after a wait that ended within those 50 µs.
     pub read_timeout: Duration,
 }
 
@@ -259,9 +263,12 @@ impl<A: ToSocketAddrs> ServerBuilder<A> {
     }
 
     /// Binds the address (use port 0 for an OS-assigned loopback port)
-    /// and starts serving `store` on the configured architecture.
+    /// and starts serving `store` on the configured architecture. The
+    /// accept queue is the longest the kernel allows, so a burst of
+    /// thousands of connects does not overflow it.
     pub fn serve(self, store: Arc<PolyStore>) -> io::Result<NetServer> {
         let listener = TcpListener::bind(self.addr)?;
+        crate::epoll::listen_at_max(&listener)?;
         let local_addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             store,

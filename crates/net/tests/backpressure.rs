@@ -8,6 +8,8 @@
 //! its own so that no other test runs a `poly-net-accept` thread beside
 //! it.
 
+mod common;
+
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
@@ -17,28 +19,7 @@ use poly_net::proto::{read_frame, write_frame, Request, Response};
 use poly_net::{Arch, NetServer};
 use poly_store::{LockKind, PolyStore, StoreConfig};
 
-/// Clock ticks per second of `/proc/<pid>/task/<tid>/stat` times
-/// (`USER_HZ`, 100 on every Linux architecture).
-const TICKS_PER_S: f64 = 100.0;
-
-/// utime + stime, in clock ticks, of the one thread named `name`.
-fn thread_ticks(name: &str) -> u64 {
-    let (mut found, mut ticks) = (0, 0);
-    for task in std::fs::read_dir("/proc/self/task").expect("procfs").flatten() {
-        let Ok(stat) = std::fs::read_to_string(task.path().join("stat")) else { continue };
-        // `tid (comm) state …`: comm may hold spaces, so split at its ')'.
-        let Some((head, rest)) = stat.rsplit_once(')') else { continue };
-        if !head.ends_with(&format!("({name}")) {
-            continue;
-        }
-        // Counting from state as field 3, utime is field 14, stime 15.
-        let field = |i: usize| rest.split_whitespace().nth(i - 3).unwrap().parse::<u64>().unwrap();
-        found += 1;
-        ticks += field(14) + field(15);
-    }
-    assert_eq!(found, 1, "threads named {name}");
-    ticks
-}
+use common::{thread_ticks, TICKS_PER_S};
 
 #[test]
 fn a_client_that_stops_reading_leaves_the_epoll_loop_idle() {

@@ -7,6 +7,11 @@
 //! push several thousand, and the architecture itself is fd-bound, not
 //! thread-bound — 10k+ needs only `ulimit -n` headroom (the test raises
 //! `RLIMIT_NOFILE` toward its hard cap first).
+//!
+//! The clients dial their connections in a burst, so the server's accept
+//! queue must hold it: each connect the kernel drops from a full queue
+//! (a `TcpExt ListenOverflows` in `/proc/net/netstat`) waits out a
+//! one-second SYN retransmit.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,6 +20,15 @@ use poly_locks_sim::LockKind;
 use poly_net::epoll::raise_nofile_limit;
 use poly_net::{Arch, NetClient, NetServer, ServerConfig};
 use poly_store::{run_load_on, KvMix, LoadSpec, PolyStore, StoreConfig};
+
+/// The network namespace's `TcpExt ListenOverflows` count.
+fn listen_overflows() -> u64 {
+    let netstat = std::fs::read_to_string("/proc/net/netstat").expect("procfs");
+    let mut tcp_ext = netstat.lines().filter(|l| l.starts_with("TcpExt:"));
+    let (names, values) = (tcp_ext.next().expect("a header"), tcp_ext.next().expect("values"));
+    let at = names.split_whitespace().position(|n| n == "ListenOverflows").expect("the counter");
+    values.split_whitespace().nth(at).unwrap().parse().unwrap()
+}
 
 #[test]
 fn epoll_server_sustains_a_c10k_scale_pipelined_load() {
@@ -43,7 +57,10 @@ fn epoll_server_sustains_a_c10k_scale_pipelined_load() {
 
     let client = NetClient::connect(server.local_addr()).expect("connect").with_pipeline(fan, 16);
     let spec = LoadSpec { depth: 16, ..LoadSpec::saturating(mix, threads, 2_048, 1) };
+    let overflows = listen_overflows();
     let r = run_load_on(&client, &spec);
+    let overflowed = listen_overflows() - overflows;
+    assert_eq!(overflowed, 0, "connects overflowed the accept queue (net.core.somaxconn too low?)");
 
     assert_eq!(r.ops, (threads as u64) * 2_048);
     assert_eq!(r.request_latency.count(), r.ops, "one latency sample per pipelined op");
