@@ -29,7 +29,7 @@ use poly_cap::{CalibrationTable, CapGuard, CpuCap, FreqPolicy};
 use poly_locks_sim::LockKind;
 use poly_meter::{EnergySource, RaplSampler};
 use poly_net::proto::WireStats;
-use poly_net::{Arch, NetClient, NetConn, NetServer};
+use poly_net::{Arch, NetClient, NetConn, NetServer, ServerConfig};
 use poly_report::columns::STORE_CELL;
 use poly_report::Value;
 use poly_scenarios::{parse_lock, Registry, SinkFormat, WorkloadSpec};
@@ -673,12 +673,15 @@ impl Cell {
 
 /// Spins up a loopback server + client for one TCP cell, retrying
 /// transient failures (ephemeral-port exhaustion under per-cell server
-/// churn) before giving up on the whole sweep. With a sampler, the server
-/// is metered: measured joules come back over STATS, attributed to the
-/// serving process.
+/// churn) before giving up on the whole sweep. The server admits every
+/// connection the client opens: a session of `fan` for each of the
+/// `threads` driver threads and one for the trace collector, whose STATS
+/// polls overlap the run. With a sampler, the server is metered: measured
+/// joules come back over STATS, attributed to the serving process.
 fn connect_loopback(
     store: &Arc<PolyStore>,
     arch: Arch,
+    threads: usize,
     fan: usize,
     depth: usize,
     sampler: Option<&Arc<RaplSampler>>,
@@ -690,6 +693,7 @@ fn connect_loopback(
         }
         let bound = NetServer::builder("127.0.0.1:0")
             .architecture(arch)
+            .config(ServerConfig { max_conns: (threads + 1) * fan })
             .metered(sampler.cloned())
             .serve(Arc::clone(store));
         match bound {
@@ -756,7 +760,8 @@ fn run_cell(
             // the per-cell server churn of a long sweep can transiently
             // exhaust ephemeral ports, and one flaky cell must not
             // abort the process with every finished cell unemitted.
-            let (server, client) = connect_loopback(&store, arch, opts.conns, opts.depth, sampler);
+            let (server, client) =
+                connect_loopback(&store, arch, threads, opts.conns, opts.depth, sampler);
             let out = measure(&client, &spec, trace.as_ref(), &store);
             drop(client);
             drop(server); // graceful shutdown: joins every worker

@@ -189,6 +189,103 @@ fn server_architecture_is_a_sweep_axis() {
     assert_eq!(json_value(cells[0], "server"), "\"none\"");
 }
 
+/// A tcp cell's loopback server admits every connection the cell's client
+/// opens, also past the default cap of 16 per CPU. Epoll only: a threads
+/// cell of this size starts one worker per connection.
+#[test]
+fn a_cell_past_the_default_connection_cap_runs() {
+    let par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let conns = 16 * par + 1;
+    // Two fds per loopback connection, plus slack; the child inherits the
+    // raised limit.
+    let want = 2 * conns as u64 + 256;
+    let limit = poly_net::epoll::raise_nofile_limit(want).expect("rlimit");
+    assert!(limit >= want, "host fd limit {limit} cannot hold {conns} loopback connections");
+    let out = store_bin()
+        .args([
+            "sweep",
+            "--scenarios",
+            "kv-net-uniform",
+            "--transport",
+            "tcp",
+            "--server",
+            "epoll",
+            "--locks",
+            "MUTEXEE",
+            "--threads",
+            "1",
+            "--conns",
+            &conns.to_string(),
+            "--depth",
+            "4",
+            "--ops",
+            "200",
+            "--format",
+            "jsonl",
+        ])
+        .output()
+        .expect("store sweep runs");
+    assert!(
+        out.status.success(),
+        "a cell of {conns} connections exited with {}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let cells: Vec<&str> = stdout.lines().collect();
+    assert_eq!(cells.len(), 1, "{cells:?}");
+    assert_eq!(json_value(cells[0], "ops"), "200");
+}
+
+/// A traced tcp cell's collector polls STATS through a session of its own
+/// while every driver thread holds one, so the cell's server admits that
+/// session's connections too.
+#[test]
+fn a_traced_cell_admits_the_collectors_connections() {
+    let timeline =
+        std::env::temp_dir().join(format!("poly-net-e2e-traced-{}.jsonl", std::process::id()));
+    let out = store_bin()
+        .args([
+            "sweep",
+            "--scenarios",
+            "kv-net-uniform",
+            "--transport",
+            "tcp",
+            "--server",
+            "threads,epoll",
+            "--locks",
+            "MUTEXEE",
+            "--threads",
+            "1",
+            "--conns",
+            "2",
+            "--ops",
+            "20000",
+            "--trace-interval",
+            "1ms",
+            "--timeline",
+            timeline.to_str().unwrap(),
+            "--format",
+            "jsonl",
+        ])
+        .output()
+        .expect("store sweep runs");
+    let rows = std::fs::read_to_string(&timeline).unwrap_or_default();
+    let _ = std::fs::remove_file(&timeline);
+    assert!(
+        out.status.success(),
+        "a traced cell exited with {}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(stdout.lines().count(), 2, "{stdout}");
+    for server in ["threads", "epoll"] {
+        let windows = rows.lines().filter(|r| json_value(r, "server") == format!("\"{server}\""));
+        assert!(windows.count() >= 3, "the {server} cell's collector ticked under 3 times");
+    }
+}
+
 /// `store serve` binds, prints its address, serves real clients, and
 /// shuts down cleanly when stdin closes.
 #[test]

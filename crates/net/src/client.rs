@@ -21,7 +21,7 @@ use poly_store::{
     KvConnection, KvService, PipeOp, Reply, StatsSnapshot, Submitted, Ticket, WriteBatch,
 };
 
-use crate::proto::{read_frame, read_value_reply, Request, RequestRef, Response, WireStats};
+use crate::proto::{read_frame, read_value_reply, RequestRef, Response, WireStats};
 use crate::spin::SpinRead;
 
 /// One framed TCP connection to a [`crate::NetServer`].
@@ -44,11 +44,6 @@ impl NetConn {
         stream.set_nodelay(true).ok();
         let reader = BufReader::new(SpinRead::new(stream.try_clone()?));
         Ok(NetConn { reader, writer: BufWriter::new(stream) })
-    }
-
-    /// Sends one request and waits for its response.
-    pub fn request(&mut self, req: &Request) -> io::Result<Response> {
-        self.exchange(&RequestRef::from(req))
     }
 
     fn exchange(&mut self, req: &RequestRef<'_>) -> io::Result<Response> {
@@ -365,22 +360,10 @@ impl KvService for NetClient {
         self.lock
     }
 
-    fn service_stats(&self) -> StatsSnapshot {
-        let mut session = self.session().expect("dialing the server");
-        session.conn_mut().stats().expect("net stats").stats
-    }
-
-    fn measured_energy(&self) -> Option<MeasuredReading> {
-        // The *server's* cumulative measured energy, over the wire: a TCP
-        // sweep charges joules to the serving process, not to this client.
-        let mut session = self.session().expect("dialing the server");
-        session.conn_mut().stats().expect("net stats").measured
-    }
-
     fn stats_and_energy(&self) -> (StatsSnapshot, Option<MeasuredReading>) {
-        // One STATS frame answers both marks: the driver must not pay —
-        // or charge into the energy window it just opened — a second
-        // round trip.
+        // One STATS frame carries the server's stats and the *server's*
+        // cumulative measured energy: a TCP sweep charges joules to the
+        // serving process, not to this client.
         let mut session = self.session().expect("dialing the server");
         let ws = session.conn_mut().stats().expect("net stats");
         (ws.stats, ws.measured)

@@ -16,10 +16,11 @@
 //!   architecture ([`Arch`]): `threads`, a blocking accept loop with one
 //!   worker per connection (capped by [`ServerConfig::max_conns`]), or
 //!   `epoll`, a single readiness loop multiplexing thousands of
-//!   connections; both answer every request frame through one path and
-//!   share graceful shutdown and the connection, frame and byte counters
-//!   ([`NetStatsSnapshot`]), and both are configured through
-//!   [`NetServer::builder`];
+//!   connections. Both serve every connection through one
+//!   per-connection loop (read, answer each complete frame, write) and
+//!   differ only in how they wait; both share graceful shutdown and the
+//!   connection, frame and byte counters ([`NetStatsSnapshot`]) and are
+//!   configured through [`NetServer::builder`];
 //! * [`NetClient`] — a connection-pooled client implementing
 //!   [`poly_store::KvService`], so `poly_store::run_load_on` paces the
 //!   same open-loop kv scenarios over TCP that it runs in-process; with
@@ -69,6 +70,7 @@
 #![deny(missing_docs)]
 
 mod client;
+mod conn;
 pub mod epoll;
 mod event_loop;
 pub mod proto;
@@ -320,7 +322,7 @@ mod tests {
                 lock: LockKind::Mutex,
                 ..Default::default()
             }));
-            let cfg = ServerConfig { max_conns: 1, read_timeout: Duration::from_millis(10) };
+            let cfg = ServerConfig { max_conns: 1 };
             let server = NetServer::builder("127.0.0.1:0")
                 .config(cfg)
                 .architecture(arch)
@@ -355,7 +357,7 @@ mod tests {
         for arch in Arch::ALL {
             let (_server, client) = serve_arch(LockKind::Mutex, 2, arch);
             let mut s = client.session().unwrap();
-            assert!(s.conn_mut().request(&Request::GetV(1)).is_ok());
+            assert!(s.conn_mut().get_bytes(1).is_ok());
             // Hand-feed raw frames a Request cannot express: opcodes
             // outside the protocol table, one per frame on one socket.
             // Each must come back as an error response in its slot, with
@@ -526,6 +528,37 @@ mod tests {
         };
         assert!(error(9).contains("unknown opcode 0x7f"), "{}", error(9));
         assert!(error(10).contains("exceeds MAX_FRAME"), "{}", error(10));
+    }
+
+    #[test]
+    fn a_request_torn_across_reads_is_answered_whole() {
+        use crate::proto::{read_frame, write_frame, Response};
+        use std::io::Write;
+
+        let put = Request::PutV(3, b"torn".to_vec());
+        let get = Request::GetV(3);
+        let mut burst = Vec::new();
+        write_frame(&mut burst, &put.encode()).unwrap();
+        write_frame(&mut burst, &get.encode()).unwrap();
+        for arch in Arch::ALL {
+            let (_server, client) = serve_arch(LockKind::Mutex, 2, arch);
+            let mut raw = std::net::TcpStream::connect(client.addr()).unwrap();
+            raw.set_nodelay(true).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            // The length prefix and the PUTV's opcode and first two key
+            // bytes; the rest of it, and a GETV, after the server has read
+            // those.
+            raw.write_all(&burst[..7]).unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+            raw.write_all(&burst[7..]).unwrap();
+            let mut reply = |req: &Request| {
+                let body = read_frame(&mut raw).unwrap().expect("a reply, not a hangup");
+                Response::decode(&body, req).unwrap()
+            };
+            assert_eq!(reply(&put), Response::ValueV(None), "[{arch}] the PUTV's reply");
+            let value = Some(b"torn".to_vec());
+            assert_eq!(reply(&get), Response::ValueV(value), "[{arch}] the GETV's reply");
+        }
     }
 
     #[test]
@@ -704,5 +737,35 @@ mod tests {
             s.conn_mut().get_bytes(5).is_err(),
             "request against a shut-down server must error"
         );
+    }
+
+    #[test]
+    fn shutdown_reaches_a_client_that_stopped_reading() {
+        use crate::proto::write_frame;
+        use std::io::Write;
+
+        // 64 MiB of replies to a client that never reads: the server sits
+        // over its reply cap, its socket buffers full.
+        const GETS: usize = 64;
+        let mut burst = Vec::new();
+        for _ in 0..GETS {
+            write_frame(&mut burst, &Request::GetV(1).encode()).unwrap();
+        }
+        for arch in Arch::ALL {
+            let (mut server, _client) = serve_arch(LockKind::Mutex, 2, arch);
+            server.store().put(1, &vec![0x3C; 1 << 20]);
+            let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+            raw.write_all(&burst).unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            let (done, stopped) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                server.shutdown();
+                let _ = done.send(());
+            });
+            assert!(
+                stopped.recv_timeout(Duration::from_secs(5)).is_ok(),
+                "[{arch}] shutdown waited 5 s on a client that stopped reading"
+            );
+        }
     }
 }

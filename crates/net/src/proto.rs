@@ -71,8 +71,8 @@
 //!    oversized length prefix is answered with an error frame before the
 //!    close. A peer's EOF ends its requests, not its replies.
 //!
-//! [`FrameDecoder`] is the incremental framing layer of the readiness
-//! server: bytes go in as they arrive off a nonblocking socket, complete
+//! [`FrameDecoder`] is the incremental framing layer of both servers:
+//! bytes go in as each read of the socket hands them over, complete
 //! frame bodies are lent out of its buffer (no copy), and an oversized
 //! length prefix is rejected the moment the 4-byte header is readable —
 //! before any body allocation.
@@ -844,23 +844,15 @@ fn read_len<R: Read>(r: &mut R) -> io::Result<Option<usize>> {
     Ok(Some(n))
 }
 
-/// Reads one length-prefixed frame into `body`, replacing what it held;
-/// `Ok(false)` is a clean EOF at a frame boundary.
-pub(crate) fn read_frame_into<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<bool> {
-    let Some(n) = read_len(r)? else {
-        return Ok(false);
-    };
-    body.clear();
-    body.resize(n, 0);
-    r.read_exact(body)?;
-    Ok(true)
-}
-
 /// Reads one length-prefixed frame; `Ok(None)` is a clean EOF at a frame
 /// boundary (the peer hung up between requests).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut body = Vec::new();
-    Ok(read_frame_into(r, &mut body)?.then_some(body))
+    let Some(n) = read_len(r)? else {
+        return Ok(None);
+    };
+    let mut body = vec![0; n];
+    r.read_exact(&mut body)?;
+    Ok(Some(body))
 }
 
 /// Reads the next reply frame to a point request off `r`; `Ok(None)` is
@@ -899,13 +891,12 @@ pub(crate) fn split_frame(bytes: &[u8]) -> io::Result<Option<(&[u8], &[u8])>> {
     Ok(bytes[4..].split_at_checked(n))
 }
 
-/// Incremental frame decoder for nonblocking sockets.
+/// Incremental frame decoder for the server's sockets.
 ///
-/// [`read_frame`] blocks until a whole frame arrives — fine for the
-/// thread-per-connection server, useless on a readiness loop where a
-/// `read(2)` hands over however many bytes the kernel has. `FrameDecoder`
-/// accepts those arbitrary slices via [`push`](FrameDecoder::push) and
-/// lends out complete frame bodies via
+/// [`read_frame`] blocks until a whole frame arrives. A server instead
+/// takes whatever one `read(2)` hands over, which may end inside a frame.
+/// `FrameDecoder` accepts those arbitrary slices via
+/// [`push`](FrameDecoder::push) and lends out complete frame bodies via
 /// [`next_frame`](FrameDecoder::next_frame), without copying them; a
 /// frame torn across reads simply stays buffered until the rest arrives.
 /// Once everything buffered has been consumed, the buffer gives back its

@@ -4,15 +4,17 @@
 //! [`Arch::Threads`] is a blocking accept loop, one worker thread per
 //! connection, capped at [`ServerConfig::max_conns`]. [`Arch::Epoll`] is
 //! a single readiness loop over nonblocking sockets (see
-//! [`crate::event_loop`]) that scales to thousands of connections and
-//! drains pipelined bursts. Both answer every request frame through one
-//! function ([`answer`]) and share counters, graceful shutdown and the
-//! wire protocol; a client cannot tell them apart except by load
-//! behaviour.
+//! [`crate::event_loop`]) that scales to thousands of connections. Both
+//! serve every connection through one [`Conn`], which frames, answers
+//! ([`answer`]), caps and writes, so they answer the same request bytes
+//! with the same reply bytes by construction. They also share counters,
+//! graceful shutdown and the wire protocol, and differ only in how they
+//! wait: a thread blocked in `read` per connection, or one loop in
+//! `epoll_wait`.
 //!
 //! Construction goes through [`NetServer::builder`].
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -23,22 +25,22 @@ use poly_meter::RaplSampler;
 use poly_store::{PolyStore, WriteBatch};
 use poly_trace::WindowLog;
 
-use crate::proto::{
-    encode_value, frame_reply, read_frame_into, recycle, write_frame, RequestRef, Response,
-    WireStats,
-};
+use crate::conn::{Conn, Tally, READ_BUF};
+use crate::proto::{encode_value, frame_reply, write_frame, RequestRef, Response, WireStats};
 
 /// Server architecture: how connections map onto threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arch {
-    /// Blocking accept loop, one worker thread per connection. Low
-    /// per-request latency at small connection counts; concurrency is
-    /// capped by [`ServerConfig::max_conns`].
+    /// Blocking accept loop, one worker thread per connection. The
+    /// worker blocks in `read` on its socket and serves it with the same
+    /// per-connection code as the epoll loop: one read buffer, every
+    /// frame a read brings answered, one write of their replies.
+    /// Concurrency is capped by [`ServerConfig::max_conns`].
     Threads,
     /// One event-loop thread multiplexing every connection over
-    /// `epoll(7)` readiness, with per-connection buffers and incremental
-    /// frame decoding. Sustains thousands of connections and drains a
-    /// pipelined burst in one readiness pass.
+    /// `epoll(7)` readiness and reading them all through one buffer, so
+    /// an idle connection holds neither a thread nor a read buffer.
+    /// Sustains thousands of connections.
     Epoll,
 }
 
@@ -66,22 +68,16 @@ impl std::fmt::Display for Arch {
     }
 }
 
-/// Tuning knobs of a [`NetServer`].
+/// Tuning knobs of a [`NetServer`]: its connection cap. The default is
+/// 16 connections per CPU for both architectures.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Maximum concurrent connections; connections beyond it are refused
     /// at accept with an error frame. Under [`Arch::Threads`] each
     /// connection owns one worker thread, so this also caps the serving
     /// thread pool; under [`Arch::Epoll`] it caps the sockets one loop
-    /// holds.
+    /// holds, and raised, leaves the fd limit as the loop's only bound.
     pub max_conns: usize,
-    /// How often an idle server thread wakes to check for shutdown: the
-    /// read timeout of each [`Arch::Threads`] worker, and the longest
-    /// blocking `epoll_wait` of the [`Arch::Epoll`] loop. Smaller = faster
-    /// shutdown, more idle wakeups. It bounds the loop's sleep, not the
-    /// spin before it: the loop polls for at most 50 µs first, and only
-    /// after a wait that ended within those 50 µs.
-    pub read_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -89,9 +85,16 @@ impl Default for ServerConfig {
         // Thread-per-connection scaled to the host: a single-CPU box gets
         // a handful of workers, a 40-context Xeon gets hundreds.
         let par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self { max_conns: par * 16, read_timeout: Duration::from_millis(25) }
+        Self { max_conns: par * 16 }
     }
 }
+
+/// How often an idle serving thread wakes to check for shutdown: the read
+/// and write timeouts of each [`Arch::Threads`] worker, and the longest
+/// blocking `epoll_wait` of the [`Arch::Epoll`] loop. It bounds the loop's
+/// sleep, not the spin before it: the loop polls for at most 50 µs first,
+/// and only after a wait that ended within those 50 µs.
+pub(crate) const STOP_POLL: Duration = Duration::from_millis(25);
 
 /// Aggregate serving-path counters (all connections merged).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,26 +122,6 @@ pub(crate) struct NetCounters {
     pub(crate) frames: AtomicU64,
     pub(crate) bytes_in: AtomicU64,
     pub(crate) bytes_out: AtomicU64,
-}
-
-/// The frame and byte counts of one burst of request frames, summed
-/// locally and published to the shared [`NetCounters`] in one go before
-/// the burst's replies are written: three atomic adds per burst instead
-/// of three per frame, and a client never reads a reply whose frame is
-/// not counted yet.
-#[derive(Default)]
-pub(crate) struct Tally {
-    frames: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-}
-
-impl Tally {
-    pub(crate) fn publish(self, counters: &NetCounters) {
-        counters.frames.fetch_add(self.frames, Ordering::Relaxed);
-        counters.bytes_in.fetch_add(self.bytes_in, Ordering::Relaxed);
-        counters.bytes_out.fetch_add(self.bytes_out, Ordering::Relaxed);
-    }
 }
 
 impl NetCounters {
@@ -412,7 +395,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
         inner.connection_opened();
         let conn_inner = Arc::clone(inner);
         let worker = std::thread::Builder::new().name("poly-net-conn".into()).spawn(move || {
-            let _ = serve_connection(stream, &conn_inner);
+            serve_connection(stream, &conn_inner);
             conn_inner.connection_closed();
         });
         match worker {
@@ -431,83 +414,33 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
     }
 }
 
-/// A [`Read`] adapter over the connection's stream that absorbs read
-/// timeouts *below* `read_exact`, so a frame arriving in slow pieces is
-/// never torn: a `WouldBlock`/`TimedOut` from the socket retries in place
-/// (no consumed byte is ever dropped), checking the server's stop flag on
-/// each wakeup. Once the flag is set the next blocked read fails with
-/// [`io::ErrorKind::ConnectionAborted`] (not `Interrupted`, which
-/// `read_exact` would transparently retry).
-struct PatientStream<'a> {
-    stream: TcpStream,
-    stop: &'a AtomicBool,
-}
-
-impl io::Read for PatientStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match io::Read::read(&mut self.stream, buf) {
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if self.stop.load(Ordering::SeqCst) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::ConnectionAborted,
-                            "server shutting down",
-                        ));
-                    }
-                }
-                r => return r,
-            }
-        }
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
+/// Serves one connection on its worker thread, through the same [`Conn`]
+/// the epoll loop services, until the peer is done or the server stops.
+/// The socket's timeouts are the stop flag's polling cadence: a read that
+/// times out, or a write to a client that stopped reading, returns as the
+/// `WouldBlock` a nonblocking socket would, and `service` returns between
+/// passes once the flag is set, so shutdown reaches a busy or a stalled
+/// connection too.
+fn serve_connection(stream: TcpStream, inner: &Inner) {
     stream.set_nodelay(true).ok();
-    // The timeout is the stop-flag polling cadence of PatientStream, not
-    // a frame deadline: timeouts never surface past it.
-    stream.set_read_timeout(Some(inner.cfg.read_timeout))?;
-    let mut reader =
-        BufReader::new(PatientStream { stream: stream.try_clone()?, stop: &inner.stop });
-    // Reused for every frame: the request body, and the framed reply.
-    let (mut body, mut out) = (Vec::new(), Vec::new());
-    loop {
-        let mut tally = Tally::default();
-        let framed = match read_frame_into(&mut reader, &mut body) {
-            Ok(true) => {
-                answer(&body, inner, &mut out, &mut tally);
-                true
-            }
-            Ok(false) => return Ok(()), // client hung up cleanly
-            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => return Ok(()), // shutdown
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // An oversized length prefix: framing is lost, so answer,
-                // then close.
-                refuse_framing(&e, &mut out, &mut tally);
-                false
-            }
-            Err(e) => return Err(e), // torn frame or dead socket
-        };
-        tally.publish(&inner.counters);
-        stream.write_all(&out)?;
-        recycle(&mut out);
-        recycle(&mut body);
-        // Re-check between requests too: a client with back-to-back
-        // frames in flight never blocks in read, so this is the only
-        // point where shutdown can interpose on a busy connection.
-        if !framed || inner.stop.load(Ordering::SeqCst) {
-            return Ok(());
+    if stream.set_read_timeout(Some(STOP_POLL)).is_err()
+        || stream.set_write_timeout(Some(STOP_POLL)).is_err()
+    {
+        return;
+    }
+    let mut conn = Conn::new(stream);
+    let mut rbuf = vec![0u8; READ_BUF];
+    while !inner.stop.load(Ordering::SeqCst) {
+        if !conn.service(true, inner, &mut rbuf) {
+            return;
         }
     }
 }
 
-/// Answers one request frame into `out`, the one path both architectures
-/// serve through: counts the frame and its bytes in `tally`, decodes the
-/// body in place, runs it, and frames the reply in place with
-/// [`frame_reply`]. A malformed body is answered with an error in the
-/// request's FIFO slot (protocol rule 2).
+/// Answers one request frame into `out`: counts the frame and its bytes
+/// in `tally`, decodes the body in place, runs it, and frames the reply in
+/// place with [`frame_reply`]. A malformed body is answered with an error
+/// in the request's FIFO slot (protocol rule 2).
 pub(crate) fn answer(body: &[u8], inner: &Inner, out: &mut Vec<u8>, tally: &mut Tally) {
     tally.frames += 1;
     tally.bytes_in += body.len() as u64;
@@ -515,14 +448,6 @@ pub(crate) fn answer(body: &[u8], inner: &Inner, out: &mut Vec<u8>, tally: &mut 
         Ok(req) => execute(req, inner, out),
         Err(e) => Response::Error(e.to_string()).encode_into(out),
     });
-    tally.bytes_out += len as u64;
-}
-
-/// Answers a byte stream whose framing is lost (a length prefix over
-/// `MAX_FRAME`) with an error frame; the connection closes once it is
-/// out.
-pub(crate) fn refuse_framing(e: &io::Error, out: &mut Vec<u8>, tally: &mut Tally) {
-    let len = frame_reply(out, |out| Response::Error(e.to_string()).encode_into(out));
     tally.bytes_out += len as u64;
 }
 

@@ -14,7 +14,6 @@
 //! one-second SYN retransmit.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use poly_locks_sim::LockKind;
 use poly_net::epoll::raise_nofile_limit;
@@ -51,7 +50,7 @@ fn epoll_server_sustains_a_c10k_scale_pipelined_load() {
     }));
     let server = NetServer::builder("127.0.0.1:0")
         .architecture(Arch::Epoll)
-        .config(ServerConfig { max_conns: 20_000, read_timeout: Duration::from_millis(25) })
+        .config(ServerConfig { max_conns: 20_000 })
         .serve(store)
         .expect("bind epoll server");
 

@@ -36,9 +36,8 @@ impl WriteBatch {
         self.ops.push((key, Some(value.into())));
     }
 
-    /// Buffers a put of a `u64` value in its 8-byte little-endian form —
-    /// the protocol-v2 compatibility encoding (see
-    /// [`crate::PolyStore::put_u64`]).
+    /// Buffers a put of a `u64` value in its 8-byte little-endian form,
+    /// the encoding [`crate::PolyStore::put_u64`] writes.
     pub fn put_u64(&mut self, key: u64, value: u64) {
         self.put(key, value.to_le_bytes().to_vec());
     }

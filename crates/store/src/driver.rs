@@ -9,7 +9,7 @@
 //! a closed-loop benchmark hides); without one, clients run back-to-back
 //! at saturation. Results fold the service's per-shard stats and the
 //! modeled Xeon energy into one [`LoadReport`]; a metered service (see
-//! [`crate::Metered`] and [`KvService::measured_energy`]) additionally
+//! [`crate::Metered`] and [`KvService::stats_and_energy`]) additionally
 //! contributes measured RAPL joules over the same interval.
 
 use std::time::{Duration, Instant};
@@ -25,10 +25,9 @@ use crate::WriteBatch;
 
 /// The driver's deterministic value synthesis: the bytes written for
 /// `key` at length `len`. The first 8 bytes are the key's little-endian
-/// encoding (so an 8-byte value reads back as the key through the
-/// protocol-v2 `u64` view — the pre-refactor prefill contract), further
-/// bytes continue a SplitMix-style stream, so any slice is checkable
-/// from `(key, len)` alone.
+/// encoding (so an 8-byte value reads back as the key through the `u64`
+/// view, [`PolyStore::get_u64`]), further bytes continue a SplitMix-style
+/// stream, so any slice is checkable from `(key, len)` alone.
 pub fn value_bytes(key: u64, len: u32) -> Vec<u8> {
     let mut v = Vec::with_capacity(len as usize);
     fill_value_bytes(&mut v, key, len);
@@ -98,11 +97,10 @@ pub enum Submitted {
 /// The blocking surface (`get`/`put`/`remove`/`scan_count`/`apply`) is
 /// mandatory. The *pipelined* surface ([`submit`](KvConnection::submit) /
 /// [`drain`](KvConnection::drain)) has a default implementation that
-/// executes synchronously, so the local store, the v1 TCP client, and the
-/// v2 pipelined client all share this one trait: the driver calls
-/// `submit`/`drain` unconditionally and every backend behaves correctly,
-/// with depth > 1 actually overlapping requests only where the backend
-/// supports it.
+/// executes synchronously, so the local store and the TCP client share
+/// this one trait: the driver calls `submit`/`drain` unconditionally and
+/// every backend behaves correctly, with depth > 1 actually overlapping
+/// requests only where the backend supports it.
 pub trait KvConnection {
     /// Point lookup.
     fn get(&mut self, key: u64) -> Option<Vec<u8>>;
@@ -151,10 +149,6 @@ pub trait KvService: Sync {
     /// model's wait activity).
     fn lock_kind(&self) -> LockKind;
 
-    /// A snapshot of the service's merged shard stats (for a remote
-    /// service, fetched over the wire).
-    fn service_stats(&self) -> StatsSnapshot;
-
     /// Service-side threads dedicated to each client session beyond the
     /// client thread itself (the TCP server runs one worker per
     /// connection); folded into the modeled energy.
@@ -162,24 +156,15 @@ pub trait KvService: Sync {
         0
     }
 
-    /// Cumulative *measured* (RAPL) energy of the serving process, when
-    /// the service is metered: `None` for unmetered services (the
-    /// default). The driver reads this at its measure-window marks —
-    /// right after prefill and right after the clients join — and diffs
-    /// the two readings, so warmup is excluded and, for a remote service,
-    /// the joules are the *server's*, not the client's.
-    fn measured_energy(&self) -> Option<MeasuredReading> {
-        None
-    }
-
-    /// Stats snapshot and measured-energy reading taken together — the
-    /// driver's window marks. Remote services override this to answer
-    /// both from a *single* exchange (one STATS frame already carries
-    /// both), so no second round trip lands inside the energy window it
-    /// just opened.
-    fn stats_and_energy(&self) -> (StatsSnapshot, Option<MeasuredReading>) {
-        (self.service_stats(), self.measured_energy())
-    }
+    /// The driver's window mark: a snapshot of the service's merged shard
+    /// stats, and the serving process's cumulative *measured* (RAPL)
+    /// energy when the service is metered (`None` otherwise). The driver
+    /// takes it right after prefill and right after the clients join and
+    /// diffs the two, so warmup is excluded and, for a remote service, the
+    /// joules are the *server's*, not the client's. A remote service
+    /// answers both from one exchange, so no second round trip lands
+    /// inside the energy window it just opened.
+    fn stats_and_energy(&self) -> (StatsSnapshot, Option<MeasuredReading>);
 }
 
 /// In-process session: every call goes straight to the store.
@@ -220,8 +205,8 @@ impl KvService for PolyStore {
         PolyStore::lock_kind(self)
     }
 
-    fn service_stats(&self) -> StatsSnapshot {
-        self.total_stats()
+    fn stats_and_energy(&self) -> (StatsSnapshot, Option<MeasuredReading>) {
+        (self.total_stats(), None)
     }
 }
 
@@ -838,8 +823,8 @@ mod tests {
             self.store.lock_kind()
         }
 
-        fn service_stats(&self) -> StatsSnapshot {
-            self.store.total_stats()
+        fn stats_and_energy(&self) -> (StatsSnapshot, Option<MeasuredReading>) {
+            (self.store.total_stats(), None)
         }
     }
 
@@ -1025,8 +1010,8 @@ mod tests {
             self.store.lock_kind()
         }
 
-        fn service_stats(&self) -> StatsSnapshot {
-            self.store.total_stats()
+        fn stats_and_energy(&self) -> (StatsSnapshot, Option<MeasuredReading>) {
+            (self.store.total_stats(), None)
         }
     }
 

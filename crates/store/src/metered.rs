@@ -3,7 +3,7 @@
 //! [`PolyStore`](crate::PolyStore) itself knows nothing about energy
 //! measurement; [`Metered`] pairs any [`KvService`] with a
 //! [`RaplSampler`] so [`run_load_on`](crate::run_load_on) sees measured
-//! energy through [`KvService::measured_energy`] without the service
+//! energy through [`KvService::stats_and_energy`] without the service
 //! changing. (The `poly-net` client instead learns the *server's*
 //! measured energy over the wire, so TCP runs attribute joules to the
 //! serving process — wrap the server's store, not the client.)
@@ -16,7 +16,8 @@ use crate::stats::StatsSnapshot;
 use crate::WriteBatch;
 
 /// A [`KvService`] with a RAPL sampler attached: every call delegates to
-/// the inner service; [`KvService::measured_energy`] reads the sampler.
+/// the inner service, and [`KvService::stats_and_energy`] pairs the inner
+/// service's stats with the sampler's reading.
 pub struct Metered<'m, S> {
     svc: &'m S,
     sampler: &'m RaplSampler,
@@ -81,15 +82,11 @@ impl<'m, S: KvService> KvService for Metered<'m, S> {
         self.svc.lock_kind()
     }
 
-    fn service_stats(&self) -> StatsSnapshot {
-        self.svc.service_stats()
-    }
-
     fn extra_threads_per_client(&self) -> usize {
         self.svc.extra_threads_per_client()
     }
 
-    fn measured_energy(&self) -> Option<MeasuredReading> {
-        Some(self.sampler.reading())
+    fn stats_and_energy(&self) -> (StatsSnapshot, Option<MeasuredReading>) {
+        (self.svc.stats_and_energy().0, Some(self.sampler.reading()))
     }
 }

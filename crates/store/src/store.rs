@@ -848,8 +848,8 @@ fn nanos(from: Instant, to: Instant) -> u64 {
     to.saturating_duration_since(from).as_nanos() as u64
 }
 
-/// The protocol-v2 value view: exactly 8 little-endian bytes decode,
-/// anything else is `None`.
+/// The `u64` value view: exactly 8 little-endian bytes decode, anything
+/// else is `None`.
 fn decode_u64(bytes: Option<Vec<u8>>) -> Option<u64> {
     let b = bytes?;
     let arr: [u8; 8] = b.as_slice().try_into().ok()?;
